@@ -185,6 +185,13 @@ let charge_write_tracking t ~proc ~home ~page_index =
       let s = stats t in
       s.Stats.write_track_cycles <- s.Stats.write_track_cycles + cost
 
+(* Only the global and bilateral schemes release dirty lines; the local
+   scheme's return refinement needs just the written processors. *)
+let log_write t log ~gpage ~line ~home =
+  match coherence t with
+  | C.Local -> Write_log.record_home log ~home
+  | C.Global | C.Bilateral -> Write_log.record log ~gpage ~line ~home
+
 (* A write through the caching mechanism: write-through to the home,
    updating the local copy if the line is cached.  The write is logged in
    the thread's write log for later release processing. *)
@@ -198,7 +205,7 @@ let write t ~proc gptr ~field v ~(log : Write_log.t) =
   charge_write_tracking t ~proc ~home ~page_index;
   Memory.store t.memory gptr field v;
   let gpage = (home lsl 16) lor page_index in
-  Write_log.record log ~gpage ~line ~home;
+  log_write t log ~gpage ~line ~home;
   (match coherence t with
   | C.Bilateral -> Directory.record_write t.directories.(home) ~page_index ~line
   | C.Global | C.Local -> ());
@@ -228,7 +235,7 @@ let note_migrate_write t ~proc gptr ~field v ~(log : Write_log.t) =
   let page_index = G.page_of_word addr and line = G.line_of_word addr in
   charge_write_tracking t ~proc ~home ~page_index;
   let gpage = (home lsl 16) lor page_index in
-  Write_log.record log ~gpage ~line ~home;
+  log_write t log ~gpage ~line ~home;
   mirror_store t ~proc ~home;
   (* after a failover the writer can be the promoted successor, serving
      [home]'s pages while still holding a cached copy it made back when

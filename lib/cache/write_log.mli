@@ -8,9 +8,15 @@
 type t
 
 val create : unit -> t
+(** An empty log.  Allocates only the log record itself; the dirty-line
+    table is created by the first {!record}. *)
 
 val record : t -> gpage:int -> line:int -> home:int -> unit
 (** Log one written line of global page [gpage] homed at [home]. *)
+
+val record_home : t -> home:int -> unit
+(** Log a write to [home]'s memory without its line: all the local
+    scheme needs (it never releases dirty lines).  Allocation-free. *)
 
 val dirty_pages : t -> (int * int) list
 (** [(gpage, line bitmask)] pairs written since the last release. *)

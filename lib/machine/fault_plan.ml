@@ -39,9 +39,33 @@ type t = {
   spec : Olden_config.fault_spec;
   retry : Olden_config.retry_spec;
   mutable next_seq : int; (* logical message sequence numbers *)
+  drop : decision; (* a dropped attempt's fate *)
+  fates : decision array;
+      (* delivered fates, indexed delayed + 2 * duplicated; with [drop]
+         the only values [decide] returns, so it allocates nothing *)
 }
 
-let create spec retry = { spec; retry; next_seq = 0 }
+let create spec retry =
+  let fate ~delayed ~duplicated =
+    {
+      dropped = false;
+      delay = (if delayed then spec.Olden_config.delay_cycles else 0);
+      duplicated;
+    }
+  in
+  {
+    spec;
+    retry;
+    next_seq = 0;
+    drop = { dropped = true; delay = 0; duplicated = false };
+    fates =
+      [|
+        fate ~delayed:false ~duplicated:false;
+        fate ~delayed:true ~duplicated:false;
+        fate ~delayed:false ~duplicated:true;
+        fate ~delayed:true ~duplicated:true;
+      |];
+  }
 
 let spec t = t.spec
 let retry t = t.retry
@@ -56,67 +80,57 @@ let fresh_seq t =
 
 (* One independent splitmix64 stream per (message, attempt, leg): the
    stream key mixes the schedule seed with the message identity, so the
-   decision is insensitive to what any other message drew. *)
-let stream t ~seq ~attempt ~salt =
-  Prng.create
-    (t.spec.Olden_config.fault_seed
-    lxor (seq * 0x9E3779B9)
-    lxor (attempt * 0x85EBCA6B)
-    lxor (salt * 0xC2B2AE3D))
+   decision is insensitive to what any other message drew.  Draws are
+   taken by index ({!Prng.below}), so no stream is ever built. *)
+let key t ~seq ~attempt ~salt =
+  t.spec.Olden_config.fault_seed
+  lxor (seq * 0x9E3779B9)
+  lxor (attempt * 0x85EBCA6B)
+  lxor (salt * 0xC2B2AE3D)
 
 let drop_probability t = function
-  | Data -> t.spec.Olden_config.drop
-  | Migration ->
-      Option.value ~default:t.spec.Olden_config.drop
-        t.spec.Olden_config.migrate_drop
-  | Return -> t.spec.Olden_config.drop
-  | Recovery -> t.spec.Olden_config.drop
-  | Replica -> t.spec.Olden_config.drop
+  | Migration -> (
+      match t.spec.Olden_config.migrate_drop with
+      | Some p -> p
+      | None -> t.spec.Olden_config.drop)
+  | Data | Return | Recovery | Replica -> t.spec.Olden_config.drop
 
+(* Fixed draw order within the stream: 0 drop, 1 delay, 2 duplicate. *)
 let decide t ~klass ~leg ~seq ~attempt =
   let salt = match leg with Forward -> 0x0f0e | Ack -> 0x0acc in
-  let p = stream t ~seq ~attempt ~salt in
-  (* fixed draw order: drop, delay, duplicate *)
-  let dropped = Prng.float p < drop_probability t klass in
-  let delayed = Prng.float p < t.spec.Olden_config.delay in
-  let duplicated = Prng.float p < t.spec.Olden_config.duplicate in
-  if dropped then { dropped = true; delay = 0; duplicated = false }
+  let key = key t ~seq ~attempt ~salt in
+  if Prng.below ~key ~draw:0 (drop_probability t klass) then t.drop
   else
-    {
-      dropped = false;
-      delay = (if delayed then t.spec.Olden_config.delay_cycles else 0);
-      duplicated;
-    }
+    let delayed = Prng.below ~key ~draw:1 t.spec.Olden_config.delay in
+    let duplicated = Prng.below ~key ~draw:2 t.spec.Olden_config.duplicate in
+    t.fates.((if delayed then 1 else 0) + if duplicated then 2 else 0)
 
-(* Transient handler outages: simulated time is divided into windows of
-   [outage_cycles]; each (processor, window) pair is independently down
-   with probability [outage].  Keyed by window index — not by PRNG call
-   order — so every message attempt arriving in the same window agrees on
-   whether the handler was up. *)
+(* Windowed schedules: simulated time is divided into windows of
+   [cycles]; each (processor, window) pair is independently positive
+   with probability [p].  Keyed by the window index — not by PRNG call
+   order — so every query in the same window agrees. *)
+let windowed t ~p ~cycles ~salt ~proc ~time =
+  p > 0.
+  && cycles > 0
+  && Prng.below
+       ~key:(key t ~seq:(proc * 0x51ed) ~attempt:(time / cycles) ~salt)
+       ~draw:0 p
+
+(* Transient handler outages: every message attempt arriving in the same
+   window agrees on whether the handler was up. *)
 let handler_down t ~proc ~time =
   let s = t.spec in
-  s.Olden_config.outage > 0.
-  && s.Olden_config.outage_cycles > 0
-  &&
-  let window = time / s.Olden_config.outage_cycles in
-  let p =
-    stream t ~seq:(proc * 0x51ed) ~attempt:window ~salt:0x0d0c
-  in
-  Prng.float p < s.Olden_config.outage
+  windowed t ~p:s.Olden_config.outage ~cycles:s.Olden_config.outage_cycles
+    ~salt:0x0d0c ~proc ~time
 
-(* Crash decisions mirror handler outages: time is divided into windows
-   of [crash_cycles]; each (processor, window) pair independently crashes
-   with probability [crash], keyed by the window index so the decision is
-   insensitive to how often the engine polls.  The recovery layer tracks
-   which windows already fired so one positive window means one crash. *)
+(* Crash decisions mirror handler outages, keyed by the window index so
+   the decision is insensitive to how often the engine polls.  The
+   recovery layer tracks which windows already fired so one positive
+   window means one crash. *)
 let crash_due t ~proc ~time =
   let s = t.spec in
-  s.Olden_config.crash > 0.
-  && s.Olden_config.crash_cycles > 0
-  &&
-  let window = time / s.Olden_config.crash_cycles in
-  let p = stream t ~seq:(proc * 0x51ed) ~attempt:window ~salt:0x0c4a in
-  Prng.float p < s.Olden_config.crash
+  windowed t ~p:s.Olden_config.crash ~cycles:s.Olden_config.crash_cycles
+    ~salt:0x0c4a ~proc ~time
 
 (* Fail-stop decisions use the same windowed keying as crashes, under a
    distinct salt so the two schedules draw independently.  A positive
@@ -124,12 +138,8 @@ let crash_due t ~proc ~time =
    death so the window can only fire once. *)
 let failstop_due t ~proc ~time =
   let s = t.spec in
-  s.Olden_config.failstop > 0.
-  && s.Olden_config.failstop_cycles > 0
-  &&
-  let window = time / s.Olden_config.failstop_cycles in
-  let p = stream t ~seq:(proc * 0x51ed) ~attempt:window ~salt:0x0f57 in
-  Prng.float p < s.Olden_config.failstop
+  windowed t ~p:s.Olden_config.failstop ~cycles:s.Olden_config.failstop_cycles
+    ~salt:0x0f57 ~proc ~time
 
 (* Bounded exponential backoff: wait [timeout * backoff^attempt] cycles
    before retransmission [attempt + 1], capped at [max_timeout].  The

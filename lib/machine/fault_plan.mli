@@ -42,7 +42,9 @@ val fresh_seq : t -> int
 
 val decide : t -> klass:klass -> leg:leg -> seq:int -> attempt:int -> decision
 (** The fate of delivery attempt [attempt] of message [seq].  A dropped
-    attempt is neither delayed nor duplicated. *)
+    attempt is neither delayed nor duplicated.  Allocation-free: the
+    result is one of five immutable values built by {!create}.  The same
+    holds for the three windowed queries below. *)
 
 val handler_down : t -> proc:int -> time:int -> bool
 (** Transient outages: is [proc]'s active-message handler down at

@@ -27,6 +27,7 @@ type t = {
          so a request racing a death replays against the new home instead
          of targeting a corpse. *)
   dead : bool array; (* fail-stopped processors, permanently *)
+  mutable live : int; (* processors not in [dead]; the scheduler asks *)
   mutable sends_to_dead : int;
       (* sends whose *resolved* destination was still dead — must stay 0
          when the failover protocol is correct (the checker asserts it) *)
@@ -63,6 +64,7 @@ let create cfg =
         cfg.Olden_config.faults;
     home = Array.init n Fun.id;
     dead = Array.make n false;
+    live = n;
     sends_to_dead = 0;
     intervals = [];
     record_intervals = false;
@@ -82,11 +84,14 @@ let now t proc = t.clock.(proc)
 
 let home_of t owner = t.home.(owner)
 let is_dead t proc = t.dead.(proc)
-let mark_dead t proc = t.dead.(proc) <- true
-let rehome t ~owner ~target = t.home.(owner) <- target
+let mark_dead t proc =
+  if not t.dead.(proc) then begin
+    t.dead.(proc) <- true;
+    t.live <- t.live - 1
+  end
 
-let live_count t =
-  Array.fold_left (fun n d -> if d then n else n + 1) 0 t.dead
+let rehome t ~owner ~target = t.home.(owner) <- target
+let live_count t = t.live
 
 let dead_sends t = t.sends_to_dead
 

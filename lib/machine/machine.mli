@@ -52,7 +52,8 @@ val rehome : t -> owner:int -> target:int -> unit
 (** Point [owner]'s home-map entry at [target] (the promoted backup). *)
 
 val live_count : t -> int
-(** Processors not (yet) fail-stopped. *)
+(** Processors not (yet) fail-stopped.  Constant time: the scheduler asks
+    on every step under a fault schedule. *)
 
 val dead_sends : t -> int
 (** Sends whose destination, *after* home-map resolution, was still a

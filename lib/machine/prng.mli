@@ -19,3 +19,8 @@ val bool : t -> bool
 
 val split : t -> t
 (** An independent stream (for per-processor generators). *)
+
+val below : key:int -> draw:int -> float -> bool
+(** [below ~key ~draw p]: is draw number [draw] (from 0) of the stream
+    [create key], taken with {!float}, below [p]?  Pure and
+    allocation-free: keyed decisions need no stream of their own. *)

@@ -213,10 +213,11 @@ let deref_m t ~sid ~mech ~cycles =
   if Span.is_on () then note_exemplar t ~mech ~cycles;
   if sid >= 0 then begin
     let key = (sid * 4) + mech_index mech in
+    (* [find], not [find_opt]: a hit must not allocate an option *)
     let h =
-      match Hashtbl.find_opt t.site_h key with
-      | Some h -> h
-      | None ->
+      match Hashtbl.find t.site_h key with
+      | h -> h
+      | exception Not_found ->
           let h =
             Metrics.histogram t.site_reg
               ~labels:
@@ -264,9 +265,9 @@ let recovery_stall ~cycles =
    requests were served. *)
 let request_m t ~klass ~cycles =
   let h =
-    match Hashtbl.find_opt t.req_h klass with
-    | Some h -> h
-    | None ->
+    match Hashtbl.find t.req_h klass with
+    | h -> h
+    | exception Not_found ->
         let h =
           Metrics.histogram t.req_reg
             ~labels:[ ("class", klass) ]

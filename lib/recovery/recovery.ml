@@ -41,7 +41,7 @@ module Trace = Olden_trace.Trace
 type proc_state = {
   mutable crashes : int;
   mutable last_crash_time : int; (* -1 before the first crash *)
-  mutable last_window : int; (* last seeded window that fired *)
+  mutable last_window : int; (* last seeded window asked about *)
   mutable pages_lost : int;
   mutable messages : int; (* recovery announcements sent *)
   mutable stall_cycles : int; (* victim clock spent in restart protocols *)
@@ -162,7 +162,10 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
    one per crash; otherwise the seeded schedule decides, at most once per
    (proc, window) — [Fault_plan.crash_due] is constant within a window,
    so without the [last_window] latch one positive window would crash the
-   victim at every operation boundary it contains. *)
+   victim at every operation boundary it contains.  Clocks never run
+   backwards, so latching every window asked about, fired or not, also
+   keeps the (mostly negative) windows from being asked again at every
+   boundary they contain. *)
 let crash_pending t ~proc ~time =
   let rec take acc = function
     | [] -> None
@@ -185,10 +188,9 @@ let crash_pending t ~proc ~time =
           let window = time / spec.C.crash_cycles in
           let ps = t.procs.(proc) in
           window > ps.last_window
-          && Fault_plan.crash_due plan ~proc ~time
           &&
           (ps.last_window <- window;
-           true))
+           Fault_plan.crash_due plan ~proc ~time))
 
 let maybe_crash t ~proc ~log =
   if crash_pending t ~proc ~time:(Machine.now t.machine proc) then begin

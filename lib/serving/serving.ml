@@ -208,13 +208,19 @@ let arrivals ~(spec : C.Serving.spec) =
     done
   done;
   (* canonical injection order; the key is unique per arrival, so the
-     result is independent of generation order *)
-  List.sort
+     result is independent of generation order (and an in-place unstable
+     sort is exact) *)
+  let arr = Array.of_list !out in
+  Array.sort
     (fun a b ->
-      compare
-        (a.a_offset, a.a_stream, a.a_index)
-        (b.a_offset, b.a_stream, b.a_index))
-    !out
+      match Int.compare a.a_offset b.a_offset with
+      | 0 -> (
+          match Int.compare a.a_stream b.a_stream with
+          | 0 -> Int.compare a.a_index b.a_index
+          | c -> c)
+      | c -> c)
+    arr;
+  Array.to_list arr
 
 (* --- The request model ------------------------------------------------- *)
 

@@ -310,19 +310,27 @@ let test_cache_read_local_remote () =
   check int "one page entry" 1 (Machine.stats machine).Stats.pages_cached
 
 let test_cache_write_through () =
-  let sys, _machine, memory = mk_system () in
-  let a = Memory.alloc memory ~proc:2 4 in
-  Memory.store memory a 1 (Value.Int 1);
-  let log = Write_log.create () in
-  (* cache the line on proc 0 *)
-  ignore (Cache_system.read sys ~proc:0 a ~field:1);
-  (* write through from proc 0: home memory and own copy both updated *)
-  Cache_system.write sys ~proc:0 a ~field:1 (Value.Int 99) ~log;
-  check int "home updated" 99 (Value.to_int (Memory.load memory a 1));
-  let v = Cache_system.read sys ~proc:0 a ~field:1 in
-  check int "own cached copy updated" 99 (Value.to_int v);
-  check bool "write logged" false (Write_log.is_empty log);
-  check bool "written proc recorded" true (Write_log.written_procs log = [ 2 ])
+  List.iter
+    (fun coherence ->
+      let sys, _machine, memory = mk_system ~coherence () in
+      let a = Memory.alloc memory ~proc:2 4 in
+      Memory.store memory a 1 (Value.Int 1);
+      let log = Write_log.create () in
+      (* cache the line on proc 0 *)
+      ignore (Cache_system.read sys ~proc:0 a ~field:1);
+      (* write through from proc 0: home memory and own copy both updated *)
+      Cache_system.write sys ~proc:0 a ~field:1 (Value.Int 99) ~log;
+      check int "home updated" 99 (Value.to_int (Memory.load memory a 1));
+      let v = Cache_system.read sys ~proc:0 a ~field:1 in
+      check int "own cached copy updated" 99 (Value.to_int v);
+      (* only the schemes that release dirty lines log the line; the
+         local scheme keeps just the written processor *)
+      check bool "line logged iff the scheme releases lines"
+        (coherence <> Config.Local)
+        (not (Write_log.is_empty log));
+      check bool "written proc recorded" true
+        (Write_log.written_procs log = [ 2 ]))
+    [ Config.Local; Config.Global; Config.Bilateral ]
 
 let test_local_scheme_flush_on_migration () =
   let sys, machine, memory = mk_system ~coherence:Config.Local () in

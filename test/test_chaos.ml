@@ -185,8 +185,157 @@ let test_deadlock_message () =
   check bool "reports pending continuations" true
     (contains "pending continuations:")
 
+(* --- Fault decisions: stream reference and allocation ------------------- *)
+
+(* The decision procedure drawn the direct way: one fresh Prng stream per
+   decision, consumed in order (drop, delay, duplicate).  Fault_plan
+   draws by index without building a stream; the two must agree on every
+   input. *)
+module Reference = struct
+  let stream (s : Config.fault_spec) ~seq ~attempt ~salt =
+    Prng.create
+      (s.Config.fault_seed
+      lxor (seq * 0x9E3779B9)
+      lxor (attempt * 0x85EBCA6B)
+      lxor (salt * 0xC2B2AE3D))
+
+  let decide (s : Config.fault_spec) ~klass ~leg ~seq ~attempt =
+    let salt =
+      match leg with Fault_plan.Forward -> 0x0f0e | Fault_plan.Ack -> 0x0acc
+    in
+    let p = stream s ~seq ~attempt ~salt in
+    let drop =
+      match (klass, s.Config.migrate_drop) with
+      | Fault_plan.Migration, Some d -> d
+      | _ -> s.Config.drop
+    in
+    let dropped = Prng.float p < drop in
+    let delayed = Prng.float p < s.Config.delay in
+    let duplicated = Prng.float p < s.Config.duplicate in
+    if dropped then { Fault_plan.dropped = true; delay = 0; duplicated = false }
+    else
+      {
+        Fault_plan.dropped = false;
+        delay = (if delayed then s.Config.delay_cycles else 0);
+        duplicated;
+      }
+
+  let windowed (s : Config.fault_spec) ~p ~cycles ~salt ~proc ~time =
+    p > 0. && cycles > 0
+    && Prng.float
+         (stream s ~seq:(proc * 0x51ed) ~attempt:(time / cycles) ~salt)
+       < p
+end
+
+let gen_spec =
+  QCheck.Gen.(
+    let prob = oneof [ return 0.; return 1.; float_bound_inclusive 1. ] in
+    let cycles = oneof [ return 0; int_range 1 8000 ] in
+    let* drop = prob and* delay = prob and* duplicate = prob in
+    let* outage = prob and* crash = prob and* failstop = prob in
+    let* migrate_drop = opt prob and* fault_seed = int in
+    let* delay_cycles = int_range 0 1000 and* outage_cycles = cycles in
+    let* crash_cycles = cycles and* failstop_cycles = cycles in
+    return
+      {
+        Config.drop; delay; delay_cycles; duplicate; outage; outage_cycles;
+        migrate_drop; crash; crash_cycles; failstop; failstop_cycles;
+        fault_seed;
+      })
+
+let prop_decisions_match_reference =
+  QCheck.Test.make ~name:"fault decisions match the stream reference"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         quad gen_spec (pair nat (int_bound 64)) (int_bound 63) nat))
+    (fun (s, (seq, attempt), proc, time) ->
+      let plan = Fault_plan.create s Config.default_retry in
+      List.for_all
+        (fun klass ->
+          List.for_all
+            (fun leg ->
+              Fault_plan.decide plan ~klass ~leg ~seq ~attempt
+              = Reference.decide s ~klass ~leg ~seq ~attempt)
+            [ Fault_plan.Forward; Fault_plan.Ack ])
+        Fault_plan.[ Data; Migration; Return; Recovery; Replica ]
+      && Fault_plan.handler_down plan ~proc ~time
+         = Reference.windowed s ~p:s.Config.outage
+             ~cycles:s.Config.outage_cycles ~salt:0x0d0c ~proc ~time
+      && Fault_plan.crash_due plan ~proc ~time
+         = Reference.windowed s ~p:s.Config.crash ~cycles:s.Config.crash_cycles
+             ~salt:0x0c4a ~proc ~time
+      && Fault_plan.failstop_due plan ~proc ~time
+         = Reference.windowed s ~p:s.Config.failstop
+             ~cycles:s.Config.failstop_cycles ~salt:0x0f57 ~proc ~time)
+
+(* Minor words allocated by [f ()], after one warm-up call. *)
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_fault_layer_allocation_free () =
+  let s =
+    {
+      (Config.Faults.crash_mix ~p:0.2 ~seed:11 ()) with
+      Config.migrate_drop = Some 0.5;
+      failstop = 0.2;
+      failstop_cycles = 4000;
+    }
+  in
+  let plan = Fault_plan.create s Config.default_retry in
+  let calls = 10_000 in
+  let zero name f =
+    check (Alcotest.float 0.) (name ^ ": no minor words") 0. (minor_words f)
+  in
+  zero "decide" (fun () ->
+      for i = 1 to calls do
+        ignore
+          (Sys.opaque_identity
+             (Fault_plan.decide plan
+                ~klass:(if i land 1 = 0 then Fault_plan.Data else Fault_plan.Migration)
+                ~leg:(if i land 2 = 0 then Fault_plan.Forward else Fault_plan.Ack)
+                ~seq:i ~attempt:(i land 7)))
+      done);
+  zero "handler_down" (fun () ->
+      for i = 1 to calls do
+        ignore
+          (Sys.opaque_identity
+             (Fault_plan.handler_down plan ~proc:(i land 15) ~time:(i * 97)))
+      done);
+  zero "crash_due" (fun () ->
+      for i = 1 to calls do
+        ignore
+          (Sys.opaque_identity
+             (Fault_plan.crash_due plan ~proc:(i land 15) ~time:(i * 97)))
+      done);
+  zero "failstop_due" (fun () ->
+      for i = 1 to calls do
+        ignore
+          (Sys.opaque_identity
+             (Fault_plan.failstop_due plan ~proc:(i land 15) ~time:(i * 97)))
+      done);
+  (* a thread's write log costs its record and nothing more until a
+     scheme that releases dirty lines records one *)
+  let log = ref (Write_log.create ()) in
+  let words =
+    minor_words (fun () ->
+        log := Sys.opaque_identity (Write_log.create ());
+        for i = 1 to calls do
+          Write_log.record_home !log ~home:(i land 31)
+        done)
+  in
+  check (Alcotest.float 0.) "Write_log.create + local-scheme recording"
+    (float_of_int (1 + Obj.size (Obj.repr !log)))
+    words
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_decisions_match_reference;
+    Alcotest.test_case "fault layer and write log allocate nothing" `Quick
+      test_fault_layer_allocation_free;
     Alcotest.test_case "zero-probability faults = faults off" `Quick
       test_zero_prob_faults_equivalent;
     Alcotest.test_case "same seed + schedule => identical snapshots" `Quick

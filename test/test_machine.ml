@@ -95,6 +95,16 @@ let test_stats_fractions () =
   Alcotest.check (Alcotest.float 1e-9) "remote miss fraction" 0.2
     (Stats.remote_miss_fraction s)
 
+let test_live_count () =
+  let m = mk () in
+  check int "all live" 4 (Machine.live_count m);
+  Machine.mark_dead m 2;
+  Machine.mark_dead m 2;
+  check int "a death counts once" 3 (Machine.live_count m);
+  Machine.mark_dead m 0;
+  check int "matches the dead set" 2 (Machine.live_count m);
+  check Alcotest.bool "dead" true (Machine.is_dead m 0 && Machine.is_dead m 2)
+
 let prop_busy_le_makespan_times_procs =
   QCheck.Test.make ~name:"busy <= makespan * nprocs" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (pair (int_bound 3) (int_bound 1000)))
@@ -114,6 +124,7 @@ let suite =
     Alcotest.test_case "utilization" `Quick test_utilization;
     Alcotest.test_case "stats copy/diff" `Quick test_stats_copy_diff;
     Alcotest.test_case "stats fractions" `Quick test_stats_fractions;
+    Alcotest.test_case "live count" `Quick test_live_count;
     QCheck_alcotest.to_alcotest prop_busy_le_makespan_times_procs;
   ]
 
