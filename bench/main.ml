@@ -24,10 +24,10 @@ let ppf = Format.std_formatter
 let rule () = Format.printf "%s@." (String.make 78 '-')
 
 (* The snapshot modes below accept --domains N: each benchmark row is one
-   job on an Olden_parallel pool, and the engine inside each run is
-   sharded the same way.  Every job starts from a full Site.reset, so
-   site ids are job-local and the artifacts are byte-identical for any
-   pool size — CI cmp's a --domains 1 run against a --domains 4 run. *)
+   job on an Olden_parallel pool.  Every job starts from a full
+   Site.reset, so site ids are job-local and the artifacts are
+   byte-identical for any pool size — CI cmp's a --domains 1 run against
+   a --domains 4 run. *)
 let sweep_rows ~domains job =
   let rows, _ =
     Olden_parallel.Sweep.run ~domains
@@ -45,7 +45,7 @@ let metrics_snapshots ~domains () =
   let nprocs = 8 in
   let rows =
     sweep_rows ~domains (fun (s : Common.spec) ->
-        let cfg = C.make ~nprocs ~host_domains:domains () in
+        let cfg = C.make ~nprocs () in
         let scale = s.Common.default_scale in
         (Common.hooks ()).record_trace <- true;
         Olden_runtime.Site.reset ();
@@ -81,7 +81,7 @@ let latency_snapshots ~domains () =
   let interval = 100_000 in
   let rows =
     sweep_rows ~domains (fun (s : Common.spec) ->
-        let cfg = C.make ~nprocs ~host_domains:domains () in
+        let cfg = C.make ~nprocs () in
         let scale = s.Common.default_scale in
         (Common.hooks ()).monitor_interval <- Some interval;
         (* full reset (not just profiles): site ids restart at 0 per
@@ -137,7 +137,7 @@ let spans_census ~domains () =
   let nprocs = 8 in
   let rows =
     sweep_rows ~domains (fun (s : Common.spec) ->
-        let cfg = C.make ~nprocs ~host_domains:domains () in
+        let cfg = C.make ~nprocs () in
         let scale = s.Common.default_scale in
         (Common.hooks ()).record_spans <- true;
         Olden_runtime.Site.reset ();
@@ -210,7 +210,7 @@ let serving_snapshots ~domains () =
   let rows, _ =
     Olden_parallel.Sweep.run ~domains
       (fun ~label:_ (heap, coherence) ->
-        let cfg = C.make ~nprocs ~coherence ~host_domains:domains () in
+        let cfg = C.make ~nprocs ~coherence () in
         let r = Serving.run ~scale ~cfg ~spec ~mix heap in
         let sweep = Serving.saturation_sweep ~scale ~cfg ~spec ~mix heap in
         Serving.result_json ~sweep r)
@@ -383,8 +383,7 @@ let micro () =
     bech_tests
 
 (* --domains N anywhere after the mode word sizes the snapshot sweeps'
-   domain pool (and the engine's shard count inside each run); outputs
-   are byte-identical for any value. *)
+   domain pool; outputs are byte-identical for any value. *)
 let parse_domains () =
   let domains = ref 1 in
   let argv = Sys.argv in

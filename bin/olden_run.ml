@@ -81,10 +81,9 @@ let domains_t =
     value & opt int 1
     & info [ "d"; "domains" ] ~docv:"N"
         ~doc:
-          "Host OCaml domains.  For a single run this sets the engine's \
-           scheduler shard count (results are bit-identical for any \
-           value); for sweep subcommands (chaos, hostperf) it sizes the \
-           domain pool that runs independent points concurrently.")
+          "Host OCaml domains: the size of the domain pool that runs a \
+           sweep's independent points concurrently (chaos, hostperf, \
+           serve --sweep).  Results are bit-identical for any value.")
 
 (* --domains is validated by hand (not via cmdliner's parser) so every
    subcommand shares the one usage-error path: message on stderr, exit 2. *)
@@ -238,13 +237,12 @@ let timeline_t =
 
 let bench_cmd =
   let run name procs scale coherence policy timeline sites trace_file
-      jsonl_file metrics_file faults_name fault_seed domains =
-    let domains = check_domains domains in
+      jsonl_file metrics_file faults_name fault_seed =
     let spec = find_spec name in
     let scale = if scale = 0 then spec.B.Common.default_scale else scale in
     let faults = faults_of ~name:faults_name ~seed:fault_seed in
     let cfg =
-      C.make ~nprocs:procs ~coherence ~policy ~host_domains:domains ?faults
+      C.make ~nprocs:procs ~coherence ~policy ?faults
         ?replication:(replication_for faults) ()
     in
     (B.Common.hooks ()).record_timeline <- timeline;
@@ -285,7 +283,7 @@ let bench_cmd =
     Term.(
       const run $ name_t $ procs_t $ scale_t $ coherence_t $ policy_t
       $ timeline_t $ sites_t $ trace_file_t $ jsonl_file_t $ metrics_file_t
-      $ faults_name_t $ fault_seed_t $ domains_t)
+      $ faults_name_t $ fault_seed_t)
 
 let head_t =
   Arg.(
@@ -1076,8 +1074,7 @@ let pp_summary_rows title rows =
 
 let monitor_cmd =
   let run name procs scale coherence policy interval out csv_file sites
-      all_schemes faults_name fault_seed domains =
-    let domains = check_domains domains in
+      all_schemes faults_name fault_seed =
     if interval < 1 then begin
       Format.eprintf "olden-run monitor: --interval must be at least 1@.";
       exit 2
@@ -1107,8 +1104,8 @@ let monitor_cmd =
       List.iter
         (fun coherence ->
           let cfg =
-            C.make ~nprocs:procs ~coherence ~policy ~host_domains:domains
-              ?faults ?replication:(replication_for faults) ()
+            C.make ~nprocs:procs ~coherence ~policy ?faults
+              ?replication:(replication_for faults) ()
           in
           let o, m = run_monitored spec cfg ~scale ~interval in
           if not o.B.Common.ok then ok := false;
@@ -1123,7 +1120,7 @@ let monitor_cmd =
     end
     else begin
       let cfg =
-        C.make ~nprocs:procs ~coherence ~policy ~host_domains:domains ?faults
+        C.make ~nprocs:procs ~coherence ~policy ?faults
           ?replication:(replication_for faults) ()
       in
       let o, m = run_monitored spec cfg ~scale ~interval in
@@ -1228,7 +1225,7 @@ let monitor_cmd =
     Term.(
       const run $ name_t $ procs_t $ scale_t $ coherence_t $ policy_t
       $ interval_t $ out_t $ csv_file_t $ sites_t $ all_schemes_t
-      $ faults_name_t $ fault_seed_t $ domains_t)
+      $ faults_name_t $ fault_seed_t)
 
 (* --- Open-system serving -------------------------------------------------- *)
 
@@ -1309,8 +1306,8 @@ let serve_cmd =
           List.map
             (fun coherence ->
               let cfg =
-                C.make ~nprocs:procs ~coherence ~policy ~host_domains:domains
-                  ?faults ?replication:(replication_for faults) ()
+                C.make ~nprocs:procs ~coherence ~policy ?faults
+                  ?replication:(replication_for faults) ()
               in
               let r = Serving.run ~scale ~cfg ~spec ~mix heap in
               if not r.Serving.r_ok then ok := false;
@@ -1475,13 +1472,12 @@ let run_spanned (spec : B.Common.spec) cfg ~scale =
 
 let spans_cmd =
   let run name procs scale coherence policy out chrome head faults_name
-      fault_seed domains =
-    let domains = check_domains domains in
+      fault_seed =
     let spec = find_spec name in
     let scale = if scale = 0 then spec.B.Common.default_scale else scale in
     let faults = faults_of ~name:faults_name ~seed:fault_seed in
     let cfg =
-      C.make ~nprocs:procs ~coherence ~policy ~host_domains:domains ?faults
+      C.make ~nprocs:procs ~coherence ~policy ?faults
         ?replication:(replication_for faults) ()
     in
     let o, spans = run_spanned spec cfg ~scale in
@@ -1548,7 +1544,7 @@ let spans_cmd =
           exports the stream as olden-spans/v1 JSONL or Chrome trace JSON.")
     Term.(
       const run $ name_t $ procs_t $ scale_t $ coherence_t $ policy_t
-      $ out_t $ chrome_t $ head_t $ faults_name_t $ fault_seed_t $ domains_t)
+      $ out_t $ chrome_t $ head_t $ faults_name_t $ fault_seed_t)
 
 let explain_cmd =
   let run name procs scale coherence policy interval percentile top

@@ -17,7 +17,9 @@ type page = {
 module Trace = Olden_trace.Trace
 
 type t = {
-  pages : (int, page) Hashtbl.t; (* local page index -> record *)
+  mutable pages : page array;
+      (* indexed by local page index (dense from 0 in every section);
+         [no_page] where no record was created *)
   home : int; (* which processor's heap section this directory covers *)
   clock : unit -> int; (* the home's cycle clock, for event stamps *)
   registered : (int * int, int) Hashtbl.t option;
@@ -31,7 +33,7 @@ type t = {
 let create ?(home = -1) ?(clock = fun () -> 0) ?(track_registrations = false)
     () =
   {
-    pages = Hashtbl.create 64;
+    pages = [||];
     home;
     clock;
     registered = (if track_registrations then Some (Hashtbl.create 64) else None);
@@ -44,20 +46,40 @@ let emit t kind =
     { Trace.time = t.clock (); proc = t.home; tid = Trace.thread ();
       site = Trace.site (); kind }
 
+(* The absent-record sentinel (test with [==]).  Never written: every
+   mutation goes through [get], which replaces it first.  Lookups run on
+   every global/bilateral write, fill and release; an array read
+   allocates nothing and, unlike a hash lookup that raises on a miss,
+   costs the same for pages never shared. *)
+let no_page = { sharers = 0; ts = 0; line_ts = [||]; ever_shared = false }
+
+let find t page_index =
+  if page_index < Array.length t.pages then t.pages.(page_index) else no_page
+
 let get t page_index =
-  match Hashtbl.find_opt t.pages page_index with
-  | Some p -> p
-  | None ->
-      let p =
-        {
-          sharers = 0;
-          ts = 0;
-          line_ts = Array.make Olden_config.Geometry.lines_per_page 0;
-          ever_shared = false;
-        }
-      in
-      Hashtbl.add t.pages page_index p;
-      p
+  let p = find t page_index in
+  if p != no_page then p
+  else begin
+    let n = Array.length t.pages in
+    if page_index >= n then begin
+      let pages = Array.make (max (page_index + 1) (2 * n)) no_page in
+      Array.blit t.pages 0 pages 0 n;
+      t.pages <- pages
+    end;
+    let p =
+      {
+        sharers = 0;
+        ts = 0;
+        line_ts = Array.make Olden_config.Geometry.lines_per_page 0;
+        ever_shared = false;
+      }
+    in
+    t.pages.(page_index) <- p;
+    p
+  end
+
+let iter_pages t f =
+  Array.iteri (fun i p -> if p != no_page then f i p) t.pages
 
 let add_sharer ?at t ~page_index ~proc =
   let p = get t page_index in
@@ -85,26 +107,18 @@ let registered_at t ~page_index ~proc =
 let prune_sharer t ~proc =
   let bit = 1 lsl proc in
   let pruned = ref 0 in
-  Hashtbl.iter
-    (fun _index p ->
+  iter_pages t (fun _index p ->
       if p.sharers land bit <> 0 then begin
         p.sharers <- p.sharers land lnot bit;
         incr pruned
-      end)
-    t.pages;
+      end);
   !pruned
 
-let iter_pages t f = Hashtbl.iter f t.pages
-
 let remove_sharer t ~page_index ~proc =
-  match Hashtbl.find_opt t.pages page_index with
-  | None -> ()
-  | Some p -> p.sharers <- p.sharers land lnot (1 lsl proc)
+  let p = find t page_index in
+  if p != no_page then p.sharers <- p.sharers land lnot (1 lsl proc)
 
-let sharer_mask t page_index =
-  match Hashtbl.find_opt t.pages page_index with
-  | None -> 0
-  | Some p -> p.sharers
+let sharer_mask t page_index = (find t page_index).sharers
 
 let sharers t page_index =
   let rec go p mask acc =
@@ -114,10 +128,7 @@ let sharers t page_index =
   in
   go 0 (sharer_mask t page_index) []
 
-let is_shared t page_index =
-  match Hashtbl.find_opt t.pages page_index with
-  | None -> false
-  | Some p -> p.ever_shared
+let is_shared t page_index = (find t page_index).ever_shared
 
 (* Record a write-through arriving at the home: stamp the line with the
    next (not yet released) timestamp so a reader validated at the current
@@ -138,11 +149,9 @@ let bump_timestamp t ~page_index =
 (* Bilateral revalidation: given the sharer's last-validated timestamp,
    return the mask of lines written since then and the current timestamp. *)
 let stale_lines t ~page_index ~since =
-  match Hashtbl.find_opt t.pages page_index with
-  | None -> (0, 0)
-  | Some p ->
-      let mask = ref 0 in
-      Array.iteri
-        (fun line ts -> if ts > since then mask := !mask lor (1 lsl line))
-        p.line_ts;
-      (!mask, p.ts)
+  let p = find t page_index in
+  let mask = ref 0 in
+  Array.iteri
+    (fun line ts -> if ts > since then mask := !mask lor (1 lsl line))
+    p.line_ts;
+  (!mask, p.ts)

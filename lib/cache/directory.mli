@@ -47,7 +47,7 @@ val prune_sharer : t -> proc:int -> int
 
 val iter_pages : t -> (int -> page -> unit) -> unit
 (** Iterate over every page record ever created, keyed by local page
-    index (order unspecified). *)
+    index, in ascending order. *)
 
 val sharers : t -> int -> int list
 (** The same set as a sorted list; derived from {!sharer_mask}. *)

@@ -192,15 +192,22 @@ let iter t f =
 
 (* Invalidate every line whose home processor is in the [procs] bitmask
    (the local scheme's return refinement). Returns the number of lines
-   invalidated. *)
+   invalidated.  An empty mask or an empty table (every return receipt
+   right after a flush) answers without walking the slots. *)
 let invalidate_homes t procs =
-  let count = ref 0 in
-  iter t (fun e ->
-      if procs land (1 lsl e.home) <> 0 then begin
+  if procs = 0 || t.live = 0 then 0
+  else begin
+    let slots = t.slots and gen = t.gen in
+    let count = ref 0 in
+    for i = 0 to Array.length slots - 1 do
+      let e = Array.unsafe_get slots i in
+      if e.egen = gen && procs land (1 lsl e.home) <> 0 then begin
         count := !count + Olden_config.popcount e.valid;
         e.valid <- 0
-      end);
-  !count
+      end
+    done;
+    !count
+  end
 
 (* Mean linear-probe sequence length over live entries (1.0 = every entry
    in its home slot) — the open-addressed analogue of the paper's

@@ -334,7 +334,7 @@ module Serving = struct
     profile : profile;
     rate : float; (* offered load, requests per 1000 simulated cycles *)
     duration : int; (* arrival horizon in simulated cycles *)
-    streams : int; (* independent arrival streams (ingress shards) *)
+    streams : int; (* independent arrival streams *)
     arrival_seed : int; (* arrival-process selector, independent of the
                            workload and fault seeds *)
   }
@@ -383,13 +383,6 @@ type t = {
          write-through store is mirrored to the backup so the machine
          survives fail-stop deaths.  Required when [faults] carries a
          non-zero [failstop] probability. *)
-  host_domains : int;
-      (* host-side execution shards: simulated processors are partitioned
-         into this many shards of the engine's conservative parallel-DES
-         scheduler (epochs bounded by the cross-processor lookahead,
-         cross-shard events exchanged through mailboxes at epoch
-         barriers).  Results are bit-identical for any value; 1 is the
-         classic single-shard scheduler. *)
 }
 
 let default =
@@ -406,14 +399,12 @@ let default =
     faults = None;
     retry = default_retry;
     replication = None;
-    host_domains = 1;
   }
 
 let make ?(nprocs = 32) ?(costs = default_costs) ?(coherence = Local)
     ?(policy = Heuristic) ?(handler_contention = false)
     ?(return_invalidate_refinement = true) ?(trace = false) ?(seed = 42)
-    ?faults ?(retry = default_retry) ?replication ?(host_domains = 1) () =
-  if host_domains < 1 then invalid_arg "Olden_config.make: host_domains < 1";
+    ?faults ?(retry = default_retry) ?replication () =
   (match (faults, replication) with
   | Some f, None when f.failstop > 0. ->
       invalid_arg
@@ -437,16 +428,14 @@ let make ?(nprocs = 32) ?(costs = default_costs) ?(coherence = Local)
     faults;
     retry;
     replication;
-    host_domains;
   }
 
 (* The minimum delay any cross-processor event carries, in cycles: every
    cross-processor wakeup, migration leg, return, retransmit, and
    recovery message is scheduled at least one network traversal after the
    clock that sends it, and fault perturbations only ever add delay.
-   This is the conservative parallel-DES lookahead: within an epoch of
-   this width no shard can receive an event that should have pre-empted
-   work it already agreed to run. *)
+   Work injected from outside the program ([Engine.inject]) keeps the
+   same distance, so it never lands in the scheduler's past. *)
 let lookahead t = t.costs.net_latency
 
 (* The sequential baseline is the same program compiled without Olden:

@@ -1,39 +1,61 @@
 (* The distributed heap: one section per processor (Section 2).
 
-   Each section is a growable word array with a bump allocator.  ALLOC
+   Each section is a growable word store with a bump allocator.  ALLOC
    rounds no sizes: Olden allocates objects contiguously; the cache layer
-   imposes the page/line structure on top of plain word addresses. *)
+   imposes the page/line structure on top of plain word addresses.
+
+   A section grows by whole chunks of [chunk_words] words rather than by
+   doubling one array: growth copies nothing, leaves no dead half-size
+   array behind for the GC, and holds at most one chunk of slack.  The
+   simulated heaps are the largest live structure on the host, so this
+   is what sets the simulator's peak memory.  A chunk is a whole number
+   of pages, so a cache line never straddles two chunks. *)
+
+let chunk_bits = 12
+let chunk_words = 1 lsl chunk_bits
+let chunk_mask = chunk_words - 1
+let () = assert (chunk_words mod Olden_config.Geometry.words_per_page = 0)
 
 type section = {
-  mutable cells : Value.t array;
+  mutable chunks : Value.t array array; (* each [chunk_words] long *)
   mutable used : int; (* bump pointer, in words *)
 }
 
 type t = { sections : section array }
 
-let initial_section_words = 4096
+let new_chunk () = Array.make chunk_words Value.Nil
 
 let create ~nprocs =
   if nprocs <= 0 then invalid_arg "Memory.create: nprocs must be positive";
   {
     sections =
-      Array.init nprocs (fun _ ->
-          { cells = Array.make initial_section_words Value.Nil; used = 0 });
+      Array.init nprocs (fun _ -> { chunks = [| new_chunk () |]; used = 0 });
   }
 
 let nprocs t = Array.length t.sections
 
 let ensure_capacity s words =
   let needed = s.used + words in
-  if needed > Array.length s.cells then begin
-    let cap = ref (Array.length s.cells) in
-    while !cap < needed do
-      cap := !cap * 2
-    done;
-    let cells = Array.make !cap Value.Nil in
-    Array.blit s.cells 0 cells 0 s.used;
-    s.cells <- cells
-  end
+  while needed > Array.length s.chunks * chunk_words do
+    s.chunks <- Array.append s.chunks [| new_chunk () |]
+  done
+
+(* The chunk holding local address [addr], and the offset within it. *)
+let chunk s addr = s.chunks.(addr lsr chunk_bits)
+let offset addr = addr land chunk_mask
+
+(* Word [addr] of [s] read and written with no bounds checks, for [load]
+   and [store]: once they have checked [0 <= addr < s.used] the word
+   exists, since [alloc] grows the chunks before it moves [used]. *)
+let get s addr =
+  Array.unsafe_get
+    (Array.unsafe_get s.chunks (addr lsr chunk_bits))
+    (offset addr)
+
+let set s addr v =
+  Array.unsafe_set
+    (Array.unsafe_get s.chunks (addr lsr chunk_bits))
+    (offset addr) v
 
 (* Allocate [words] words on processor [proc]; returns the global pointer
    to the first word.  This is Olden's ALLOC library routine. *)
@@ -66,14 +88,14 @@ let load t p field =
   if proc >= nprocs t then no_processor p;
   let s = t.sections.(proc) in
   if addr < 0 || addr >= s.used then out_of_range p field;
-  s.cells.(addr)
+  get s addr
 
 let store t p field v =
   let proc = Gptr.proc p and addr = Gptr.addr p + field in
   if proc >= nprocs t then no_processor p;
   let s = t.sections.(proc) in
   if addr < 0 || addr >= s.used then out_of_range p field;
-  s.cells.(addr) <- v
+  set s addr v
 
 (* Fill [dst] (at [dst_pos]) with one line of [proc]'s section directly —
    the cache's allocation-free line fill.  Words past the section's bump
@@ -83,10 +105,11 @@ let blit_line t ~proc ~line_index ~dst ~dst_pos =
   let base = line_index * words in
   let s = t.sections.(proc) in
   let avail = s.used - base in
-  if avail >= words then Array.blit s.cells base dst dst_pos words
+  if avail >= words then
+    Array.blit (chunk s base) (offset base) dst dst_pos words
   else begin
     let n = if avail > 0 then avail else 0 in
-    if n > 0 then Array.blit s.cells base dst dst_pos n;
+    if n > 0 then Array.blit (chunk s base) (offset base) dst dst_pos n;
     Array.fill dst (dst_pos + n) (words - n) Value.Nil
   end
 
@@ -100,7 +123,7 @@ let read_line t ~proc ~line_index =
 
 let word_at t ~proc ~addr =
   let s = t.sections.(proc) in
-  if addr < s.used then s.cells.(addr) else Value.Nil
+  if addr < s.used then (chunk s addr).(offset addr) else Value.Nil
 
 (* A digest of every allocated word in every section, for whole-heap
    equality checks (the invariant checker compares a faulty run's final
@@ -112,7 +135,7 @@ let digest t =
     (fun proc s ->
       Buffer.add_string buf (Printf.sprintf "#%d:%d\n" proc s.used);
       for i = 0 to s.used - 1 do
-        (match s.cells.(i) with
+        (match (chunk s i).(offset i) with
         | Value.Nil -> Buffer.add_char buf 'n'
         | Value.Int v ->
             Buffer.add_char buf 'i';

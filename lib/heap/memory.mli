@@ -1,7 +1,8 @@
 (** The distributed heap: one section per processor (Section 2).
 
-    Each section is a growable word array with a bump allocator; ALLOC
-    hands out contiguous word ranges.  The page/line structure the cache
+    Each section is a word store with a bump allocator, grown in
+    fixed-size chunks (growth never copies); ALLOC hands out contiguous
+    word ranges.  The page/line structure the cache
     uses is pure address arithmetic on top (see
     {!Olden_config.Geometry}). *)
 

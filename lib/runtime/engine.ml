@@ -40,48 +40,7 @@ exception Must_perform
 
 type task = { thread : thread; go : unit -> unit }
 
-type work_item = { pushed_at : int; wseq : int; wtask : task }
-
 type phase_mark = { pname : string; at : int; snapshot : Stats.t }
-
-type source = Src_event | Src_work
-
-(* --- Host-side scheduler shards (conservative parallel DES) -----------
-
-   Simulated processors are partitioned into [cfg.host_domains] contiguous
-   shards.  Each shard caches the best runnable candidate over its own
-   processors' event queues and work lists, so the per-step scan costs
-   O(shards) comparisons plus one O(nprocs/shards) rescan of the shard
-   whose state changed, instead of a full O(nprocs) sweep.
-
-   The cache is sound because of the conservative-DES lookahead
-   ({!Olden_config.lookahead}): every cross-processor event carries at
-   least one network traversal of delay, so an event scheduled into
-   another shard mid-epoch can never be due before the epoch's horizon.
-   Cross-shard events are therefore routed through per-(src,dst)
-   mailboxes and only merged into the destination queues at an epoch
-   barrier — the moment the global frontier reaches the earliest deferred
-   arrival — in (ready_at, seq) order.  Within a shard, and for every
-   clock the executing task can touch (Machine only ever moves the
-   executing processor's clock), a single dirty bit on the executing
-   shard restores exactness.  Execution itself stays serialized in global
-   (start, prio, avail, seq) order, so results are bit-identical for any
-   shard count. *)
-
-type shard = {
-  s_lo : int;
-  s_hi : int; (* procs [s_lo, s_hi) *)
-  mutable s_dirty : bool;
-  (* cached best candidate; [c_proc = -1] when the shard has nothing *)
-  mutable c_start : int;
-  mutable c_prio : int;
-  mutable c_avail : int;
-  mutable c_seq : int;
-  mutable c_proc : int;
-  mutable c_src : source;
-}
-
-type mail = { m_proc : int; m_ready : int; m_seq : int; m_task : task }
 
 type t = {
   cfg : C.t;
@@ -91,7 +50,11 @@ type t = {
   recovery : Recovery.t option; (* Some iff a fault schedule is active *)
   failover : Failover.t option; (* Some iff a fault schedule is active *)
   events : task Event_queue.t array; (* per processor *)
-  worklists : work_item Stack.t array; (* per processor, LIFO *)
+  worklists : ((fut, unit) Effect.Deep.continuation, fut) Work_list.t array;
+      (* per processor, LIFO: saved futurecall continuations *)
+  cands : Candidate_heap.t; (* each processor's next task, see [rekey] *)
+  mutable handler : (unit, unit) Effect.Deep.handler; (* built once *)
+  migrate_attempts : int option; (* [Some max_migration_attempts] *)
   mutable seq : int;
   mutable cur_proc : int;
   mutable cur_thread : thread;
@@ -102,38 +65,17 @@ type t = {
       (* (processor, label) per parked waiter — deadlock diagnostics *)
   mutable phases : phase_mark list; (* newest first *)
   mutable finished : bool;
-  (* conservative parallel-DES sharding (see above) *)
-  shards : shard array;
-  shard_of : int array; (* proc -> shard index *)
-  mailboxes : mail list ref array array; (* [src_shard].[dst_shard], newest first *)
-  mutable exec_shard : int; (* shard of the task being executed, -1 outside *)
-  mutable mailbox_min : int; (* earliest deferred ready_at, max_int when none *)
-  mutable epochs : int; (* barriers taken (mailbox flushes) *)
-  mutable deferred : int; (* cross-shard events routed through mailboxes *)
 }
 
-let create cfg =
+(* Placeholder until [create] installs the engine's own handler. *)
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
+
+let create_state cfg =
   let machine = Machine.create cfg in
   let memory = Memory.create ~nprocs:cfg.C.nprocs in
   let cache = Cache.create cfg machine memory in
   let dummy_thread = { tid = 0; seat = 0; log = Write_log.create () } in
-  let nprocs = cfg.C.nprocs in
-  let nshards = max 1 (min cfg.C.host_domains nprocs) in
-  let chunk = (nprocs + nshards - 1) / nshards in
-  let shards =
-    Array.init nshards (fun i ->
-        {
-          s_lo = i * chunk;
-          s_hi = min nprocs ((i + 1) * chunk);
-          s_dirty = true;
-          c_start = max_int;
-          c_prio = max_int;
-          c_avail = max_int;
-          c_seq = max_int;
-          c_proc = -1;
-          c_src = Src_event;
-        })
-  in
   {
     cfg;
     machine;
@@ -154,7 +96,10 @@ let create cfg =
          Some (Failover.create cfg machine cache memory)
        else None);
     events = Array.init cfg.C.nprocs (fun _ -> Event_queue.create ());
-    worklists = Array.init cfg.C.nprocs (fun _ -> Stack.create ());
+    worklists = Array.init cfg.C.nprocs (fun _ -> Work_list.create ());
+    cands = Candidate_heap.create cfg.C.nprocs;
+    handler = no_handler;
+    migrate_attempts = Some cfg.C.retry.C.max_migration_attempts;
     seq = 0;
     cur_proc = 0;
     cur_thread = dummy_thread;
@@ -164,13 +109,6 @@ let create cfg =
     parked = [];
     phases = [];
     finished = false;
-    shards;
-    shard_of = Array.init nprocs (fun p -> min (p / chunk) (nshards - 1));
-    mailboxes = Array.init nshards (fun _ -> Array.init nshards (fun _ -> ref []));
-    exec_shard = -1;
-    mailbox_min = max_int;
-    epochs = 0;
-    deferred = 0;
   }
 
 let memory t = t.memory
@@ -195,35 +133,65 @@ let next_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
-(* Schedule a task.  Same-shard events go straight into the processor's
-   queue (the shard rescans before it is consulted again); cross-shard
-   events are deferred into the (src,dst) mailbox until the next epoch
-   barrier.  The lookahead invariant — every cross-processor event
-   carries at least [Olden_config.lookahead] cycles of delay from the
-   clock that sends it — is what makes the deferral order-preserving,
-   and is asserted here at every deferral. *)
-let schedule_event t ~proc ~ready_at task =
-  let seq = next_seq t in
-  let ds = t.shard_of.(proc) in
-  if t.exec_shard >= 0 && ds <> t.exec_shard then begin
-    assert (
-      ready_at
-      >= Machine.now t.machine t.cur_proc + C.lookahead t.cfg);
-    let mb = t.mailboxes.(t.exec_shard).(ds) in
-    mb := { m_proc = proc; m_ready = ready_at; m_seq = seq; m_task = task } :: !mb;
-    if ready_at < t.mailbox_min then t.mailbox_min <- ready_at;
-    t.deferred <- t.deferred + 1
-  end
-  else begin
-    Event_queue.push t.events.(proc) ~ready_at ~seq task;
-    t.shards.(ds).s_dirty <- true
-  end
+(* --- Scheduling -------------------------------------------------------
 
-let push_work t ~proc task =
-  Stack.push
-    { pushed_at = Machine.now t.machine proc; wseq = next_seq t; wtask = task }
-    t.worklists.(proc);
-  t.shards.(t.shard_of.(proc)).s_dirty <- true
+   The next task is the one with globally minimal start time.  At equal
+   start times a processor steals from its own work list before accepting
+   an arrived migration: futurecall continuations unfold depth-first and
+   keep generating parallelism, so draining them first is what keeps
+   spawn chains from being starved by arriving bodies (the continuation
+   was saved by a thread that already owned the processor).  Remaining
+   ties fall back to readiness time, then creation order, for
+   determinism.
+
+   [t.cands] holds each processor's best candidate under that order:
+   key (start, prio, avail, seq), prio 0 for the top of its work list and
+   1 for the head of its event queue.  A key changes only when that
+   processor's queue, work list or clock does.  During a task only the
+   executing processor's clock moves ([Machine] charges every cost to the
+   processor doing the work) and only it gains work-list entries, so an
+   event push re-keys its processor on the spot and the executing one is
+   re-keyed when the task ends.  A phase barrier and a fail-stop move
+   other clocks as well; they re-key every processor.  [audit_schedule]
+   checks all of this at every step. *)
+let rekey t p =
+  let clock = Machine.now t.machine p in
+  let q = t.events.(p) in
+  let estart =
+    if Event_queue.is_empty q then max_int
+    else
+      let avail = Event_queue.top_ready_at q in
+      if clock > avail then clock else avail
+  in
+  let wl = t.worklists.(p) in
+  let wavail =
+    if Work_list.is_empty wl then max_int else Work_list.top_pushed_at wl
+  in
+  let wstart = if clock > wavail then clock else wavail in
+  if wavail < max_int && wstart <= estart then
+    Candidate_heap.set t.cands p ~start:wstart ~prio:0 ~avail:wavail
+      ~seq:(Work_list.top_seq wl)
+  else if estart < max_int then
+    Candidate_heap.set t.cands p ~start:estart ~prio:1
+      ~avail:(Event_queue.top_ready_at q) ~seq:(Event_queue.top_seq q)
+  else Candidate_heap.remove t.cands p
+
+let rekey_all t =
+  for p = 0 to t.cfg.C.nprocs - 1 do
+    rekey t p
+  done
+
+let schedule_event t ~proc ~ready_at task =
+  Event_queue.push t.events.(proc) ~ready_at ~seq:(next_seq t) task;
+  rekey t proc
+
+(* Save a futurecall's parent continuation [k] (resumed with [cell], as
+   [thread]) on the executing processor's work list; [step] re-keys that
+   processor when the task ends. *)
+let push_work t thread k cell =
+  let proc = t.cur_proc in
+  Work_list.push t.worklists.(proc) ~pushed_at:(Machine.now t.machine proc)
+    ~seq:(next_seq t) thread k cell
 
 let now t = Machine.now t.machine t.cur_proc
 let advance t cycles = Machine.advance t.machine t.cur_proc cycles
@@ -290,33 +258,37 @@ let resolve t (cell : fut) v =
       cell.resolver_proc <- t.cur_proc;
       cell.resolver_seat <- t.cur_thread.seat;
       cell.resolver_log <- Some t.cur_thread.log;
-      let c = costs t in
-      List.iter
-        (fun w ->
-          t.blocked <- t.blocked - 1;
-          (* a waiter parked on a processor that has since fail-stopped
-             wakes on its promoted successor (where its work list and
-             parked-entry bookkeeping moved); the home map is the
-             identity until a failover, so this resolves to [wproc]
-             itself on a healthy machine *)
-          let wdest =
-            if Machine.is_dead t.machine w.wproc then
-              Machine.home_of t.machine w.wproc
-            else w.wproc
-          in
-          t.parked <- remove_parked t.parked ~proc:wdest ~label:w.wlabel;
-          let delay = if wdest <> t.cur_proc then c.C.net_latency else 0 in
-          schedule_event t ~proc:wdest ~ready_at:(now t + delay)
-            {
-              thread = w.wthread;
-              go =
-                (fun () ->
-                  (* [t.cur_proc], not the captured destination: the
-                     event may have been re-homed again while queued *)
-                  acquire_result t ~proc:t.cur_proc ~toucher:w.wthread cell;
-                  Effect.Deep.continue w.wk v);
-            })
-        (List.rev waiters)
+      (* no waiters (the common case): nothing to wake, and no closure *)
+      match waiters with
+      | [] -> ()
+      | _ ->
+          let c = costs t in
+          List.iter
+            (fun w ->
+              t.blocked <- t.blocked - 1;
+              (* a waiter parked on a processor that has since fail-stopped
+                 wakes on its promoted successor (where its work list and
+                 parked-entry bookkeeping moved); the home map is the
+                 identity until a failover, so this resolves to [wproc]
+                 itself on a healthy machine *)
+              let wdest =
+                if Machine.is_dead t.machine w.wproc then
+                  Machine.home_of t.machine w.wproc
+                else w.wproc
+              in
+              t.parked <- remove_parked t.parked ~proc:wdest ~label:w.wlabel;
+              let delay = if wdest <> t.cur_proc then c.C.net_latency else 0 in
+              schedule_event t ~proc:wdest ~ready_at:(now t + delay)
+                {
+                  thread = w.wthread;
+                  go =
+                    (fun () ->
+                      (* [t.cur_proc], not the captured destination: the
+                         event may have been re-homed again while queued *)
+                      acquire_result t ~proc:t.cur_proc ~toucher:w.wthread cell;
+                      Effect.Deep.continue w.wk v);
+                })
+            (List.rev waiters)
 
 (* Effective mechanism at a site, after the policy override (Table 2's
    migrate-only column; cache-only ablation). *)
@@ -667,8 +639,8 @@ let fast_store site g field v = immediate_store (engine ()) site g field v
 let fast_touch cell = immediate_touch (engine ()) cell
 
 (* Decide the fate of a migration's thread-state transfer before the fiber
-   is captured.  [Some penalty]: the state will arrive, [penalty] cycles
-   late.  [None]: the home kept dropping the transfer and the sender gave
+   is captured.  A penalty [>= 0]: the state will arrive, that many cycles
+   late.  [-1]: the home kept dropping the transfer and the sender gave
    up after its attempt budget ([retry.max_migration_attempts]); the
    thread pays the retry timers on its own clock and degrades to the
    caching mechanism instead of wedging on an unreachable home. *)
@@ -678,11 +650,11 @@ let try_migrate t ~(site : Site.t) ~home =
   let outcome =
     Machine.thread_delivery t.machine ~dst:home ~klass:Fault_plan.Migration
       ~send_time:(now t)
-      ~give_up_after:(Some t.cfg.C.retry.C.max_migration_attempts)
+      ~give_up_after:t.migrate_attempts
   in
   site.Site.retries <- site.Site.retries + s.Stats.retries - retries_before;
   match outcome with
-  | Machine.Delivered { penalty } -> Some penalty
+  | Machine.Delivered { penalty } -> penalty
   | Machine.Gave_up { penalty; attempts } ->
       s.Stats.migration_fallbacks <- s.Stats.migration_fallbacks + 1;
       site.Site.fallbacks <- site.Site.fallbacks + 1;
@@ -695,9 +667,11 @@ let try_migrate t ~(site : Site.t) ~home =
         Span.child ~kind:Span.Fallback ~proc:t.cur_proc ~t0:(now t)
           ~t1:(now t) ~a:home ~b:attempts
       end;
-      None
+      -1
 
-let rec handler t : (unit, unit) Effect.Deep.handler =
+(* The effect handler, built once per engine by [create] (every
+   futurecall, [exec] and [inject] installs this same record). *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
   let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
     function
     | Work n ->
@@ -724,36 +698,38 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                 if Span.is_on () && not (Span.root_open ()) then
                   Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
                 advance t c.C.pointer_test;
-                match try_migrate t ~site ~home with
-                | Some penalty ->
-                    site.Site.loads <- site.Site.loads + 1;
-                    site.Site.remote <- site.Site.remote + 1;
-                    site.Site.migrations <- site.Site.migrations + 1;
-                    migrate_to t ~site:site.Site.sid
-                      ~target:(Machine.home_of t.machine home) ~vseat:home
-                      ~penalty ~ep0 ~k
-                      ~complete:(fun () ->
-                        (* re-resolve: the home may have failed over
-                           while the state was in flight *)
-                        Machine.advance t.machine
-                          (Machine.home_of t.machine home) c.C.local_ref;
-                        Memory.load t.memory g field)
-                | None ->
-                    let sp = Span.is_on () in
-                    let prev = if sp then Span.parent () else -1 in
-                    let cid = if sp then Span.enter () else -1 in
-                    let cs0 = now t in
-                    let v = cached_load t site g field in
-                    if sp then
-                      Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
-                        ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                    if Monitor.is_on () then
-                      Monitor.deref ~sid:site.Site.sid
-                        ~mech:Monitor.Fallback ~cycles:(now t - ep0);
-                    if sp then
-                      Span.close_root ~t1:(now t) ~a:site.Site.sid
-                        ~b:3 (* mech code: fallback *);
-                    Effect.Deep.continue k v))
+                let penalty = try_migrate t ~site ~home in
+                if penalty >= 0 then begin
+                  site.Site.loads <- site.Site.loads + 1;
+                  site.Site.remote <- site.Site.remote + 1;
+                  site.Site.migrations <- site.Site.migrations + 1;
+                  migrate_to t ~site:site.Site.sid
+                    ~target:(Machine.home_of t.machine home) ~vseat:home
+                    ~penalty ~ep0 ~k
+                    ~complete:(fun () ->
+                      (* re-resolve: the home may have failed over
+                         while the state was in flight *)
+                      Machine.advance t.machine
+                        (Machine.home_of t.machine home) c.C.local_ref;
+                      Memory.load t.memory g field)
+                end
+                else begin
+                  let sp = Span.is_on () in
+                  let prev = if sp then Span.parent () else -1 in
+                  let cid = if sp then Span.enter () else -1 in
+                  let cs0 = now t in
+                  let v = cached_load t site g field in
+                  if sp then
+                    Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
+                      ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
+                  if Monitor.is_on () then
+                    Monitor.deref ~sid:site.Site.sid
+                      ~mech:Monitor.Fallback ~cycles:(now t - ep0);
+                  if sp then
+                    Span.close_root ~t1:(now t) ~a:site.Site.sid
+                      ~b:3 (* mech code: fallback *);
+                  Effect.Deep.continue k v
+                end))
     | Store (site, g, field, v) ->
         Some
           (fun k ->
@@ -766,36 +742,38 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                 if Span.is_on () && not (Span.root_open ()) then
                   Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
                 advance t c.C.pointer_test;
-                match try_migrate t ~site ~home with
-                | Some penalty ->
-                    site.Site.stores <- site.Site.stores + 1;
-                    site.Site.remote <- site.Site.remote + 1;
-                    site.Site.migrations <- site.Site.migrations + 1;
-                    migrate_to t ~site:site.Site.sid
-                      ~target:(Machine.home_of t.machine home) ~vseat:home
-                      ~penalty ~ep0 ~k
-                      ~complete:(fun () ->
-                        let h = Machine.home_of t.machine home in
-                        Machine.advance t.machine h c.C.local_ref;
-                        Memory.store t.memory g field v;
-                        Cache.note_migrate_write t.cache ~proc:h g ~field v
-                          ~log:t.cur_thread.log)
-                | None ->
-                    let sp = Span.is_on () in
-                    let prev = if sp then Span.parent () else -1 in
-                    let cid = if sp then Span.enter () else -1 in
-                    let cs0 = now t in
-                    cached_store t site g field v;
-                    if sp then
-                      Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
-                        ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                    if Monitor.is_on () then
-                      Monitor.deref ~sid:site.Site.sid
-                        ~mech:Monitor.Fallback ~cycles:(now t - ep0);
-                    if sp then
-                      Span.close_root ~t1:(now t) ~a:site.Site.sid
-                        ~b:3 (* mech code: fallback *);
-                    Effect.Deep.continue k ()))
+                let penalty = try_migrate t ~site ~home in
+                if penalty >= 0 then begin
+                  site.Site.stores <- site.Site.stores + 1;
+                  site.Site.remote <- site.Site.remote + 1;
+                  site.Site.migrations <- site.Site.migrations + 1;
+                  migrate_to t ~site:site.Site.sid
+                    ~target:(Machine.home_of t.machine home) ~vseat:home
+                    ~penalty ~ep0 ~k
+                    ~complete:(fun () ->
+                      let h = Machine.home_of t.machine home in
+                      Machine.advance t.machine h c.C.local_ref;
+                      Memory.store t.memory g field v;
+                      Cache.note_migrate_write t.cache ~proc:h g ~field v
+                        ~log:t.cur_thread.log)
+                end
+                else begin
+                  let sp = Span.is_on () in
+                  let prev = if sp then Span.parent () else -1 in
+                  let cid = if sp then Span.enter () else -1 in
+                  let cs0 = now t in
+                  cached_store t site g field v;
+                  if sp then
+                    Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
+                      ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
+                  if Monitor.is_on () then
+                    Monitor.deref ~sid:site.Site.sid
+                      ~mech:Monitor.Fallback ~cycles:(now t - ep0);
+                  if sp then
+                    Span.close_root ~t1:(now t) ~a:site.Site.sid
+                      ~b:3 (* mech code: fallback *);
+                  Effect.Deep.continue k ()
+                end))
     | Future body ->
         Some
           (fun k ->
@@ -822,12 +800,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                If it is stolen it becomes a new thread (with a fresh write
                log); if the body completes without migrating, the processor
                pops it right back — Olden's cheap no-migration path. *)
-            let parent_thread = new_thread t in
-            push_work t ~proc:t.cur_proc
-              {
-                thread = parent_thread;
-                go = (fun () -> Effect.Deep.continue k cell);
-              };
+            push_work t (new_thread t) k cell;
             (* The body is evaluated directly by the current thread, as
                Olden's futurecall does; only a migration during it hands
                control back to the scheduler. *)
@@ -835,7 +808,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
               (fun () ->
                 let v = body () in
                 resolve t cell v)
-              () (handler t))
+              () t.handler)
     | Touch (psite, cell) ->
         Some
           (fun k ->
@@ -987,9 +960,8 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
             for p = 0 to t.cfg.C.nprocs - 1 do
               Machine.wait_until t.machine p m
             done;
-            (* the one place a task moves clocks outside its own shard:
-               every cached shard candidate may now be stale *)
-            Array.iter (fun s -> s.s_dirty <- true) t.shards;
+            (* the one place a task moves other processors' clocks *)
+            rekey_all t;
             t.phases <-
               { pname = name; at = m; snapshot = Stats.copy (stats t) }
               :: t.phases;
@@ -1003,124 +975,21 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
   in
   { retc = Fun.id; exnc = raise; effc }
 
+let create cfg =
+  let t = create_state cfg in
+  t.handler <- make_handler t;
+  t
+
 (* --- The scheduler loop -------------------------------------------- *)
-
-(* Pick the next item to run: globally minimal start time.  At equal start
-   times a processor steals from its own work list before accepting an
-   arrived migration: futurecall continuations unfold depth-first and keep
-   generating parallelism, so draining them first is what keeps spawn
-   chains from being starved by arriving bodies (the continuation was
-   saved by a thread that already owned the processor).  Remaining ties
-   fall back to readiness time, then creation order, for determinism.
-
-   The scan is sharded: each shard caches its own best candidate, and a
-   step rescans only shards marked dirty (the executing shard, shards
-   that received a direct push, every shard after a phase barrier), then
-   compares the [host_domains] cached keys.  [rescan] is the original
-   allocation-free scan body limited to one shard's processors. *)
-let rescan t (s : shard) =
-  s.c_start <- max_int;
-  s.c_prio <- max_int;
-  s.c_avail <- max_int;
-  s.c_seq <- max_int;
-  s.c_proc <- -1;
-  for p = s.s_lo to s.s_hi - 1 do
-    let clock = Machine.now t.machine p in
-    let q = t.events.(p) in
-    if not (Event_queue.is_empty q) then begin
-      let it = Event_queue.top q in
-      let avail = it.Event_queue.ready_at in
-      let start = if clock > avail then clock else avail in
-      let seq = it.Event_queue.seq in
-      if
-        start < s.c_start
-        || (start = s.c_start
-           && (1 < s.c_prio
-              || (1 = s.c_prio
-                 && (avail < s.c_avail
-                    || (avail = s.c_avail && seq < s.c_seq)))))
-      then begin
-        s.c_start <- start;
-        s.c_prio <- 1;
-        s.c_avail <- avail;
-        s.c_seq <- seq;
-        s.c_proc <- p;
-        s.c_src <- Src_event
-      end
-    end;
-    let wl = t.worklists.(p) in
-    if not (Stack.is_empty wl) then begin
-      let w = Stack.top wl in
-      let avail = w.pushed_at in
-      let start = if clock > avail then clock else avail in
-      if
-        start < s.c_start
-        || (start = s.c_start
-           && (0 < s.c_prio
-              || (0 = s.c_prio
-                 && (avail < s.c_avail
-                    || (avail = s.c_avail && w.wseq < s.c_seq)))))
-      then begin
-        s.c_start <- start;
-        s.c_prio <- 0;
-        s.c_avail <- avail;
-        s.c_seq <- w.wseq;
-        s.c_proc <- p;
-        s.c_src <- Src_work
-      end
-    end
-  done;
-  s.s_dirty <- false
-
-(* Candidate keys are unique (seq is globally unique), so this order is
-   total and independent of the shard partition. *)
-let shard_before (a : shard) (b : shard) =
-  a.c_start < b.c_start
-  || (a.c_start = b.c_start
-     && (a.c_prio < b.c_prio
-        || (a.c_prio = b.c_prio
-           && (a.c_avail < b.c_avail
-              || (a.c_avail = b.c_avail && a.c_seq < b.c_seq)))))
-
-(* Epoch barrier: merge every (src,dst) mailbox into the destination
-   queues, in (ready_at, seq) order per destination shard. *)
-let flush_mailboxes t =
-  let nshards = Array.length t.shards in
-  for d = 0 to nshards - 1 do
-    let pending = ref [] in
-    for s = 0 to nshards - 1 do
-      let mb = t.mailboxes.(s).(d) in
-      if !mb <> [] then begin
-        pending := List.rev_append !mb !pending;
-        mb := []
-      end
-    done;
-    match !pending with
-    | [] -> ()
-    | mails ->
-        List.sort
-          (fun a b ->
-            if a.m_ready <> b.m_ready then compare a.m_ready b.m_ready
-            else compare a.m_seq b.m_seq)
-          mails
-        |> List.iter (fun m ->
-               Event_queue.push t.events.(m.m_proc) ~ready_at:m.m_ready
-                 ~seq:m.m_seq m.m_task;
-               (* per mail, not per mailbox: a failover may have
-                  rewritten [m_proc] to a successor in another shard *)
-               t.shards.(t.shard_of.(m.m_proc)).s_dirty <- true)
-  done;
-  t.mailbox_min <- max_int;
-  t.epochs <- t.epochs + 1
 
 (* A fail-stop observed at the scheduler: run the failover protocol
    (promote the backup, rewrite the home map, handle dependents), then
    deal with the victim's resident work.  With [replica_spec.threads]
-   the victim's event queue, work list, deferred mail, and parked
-   waiters all move to the promoted successor — events keep their
-   (ready_at, seq) keys, so the global execution order stays total and
-   shard-count independent.  Without it the tasks are unrecoverable and
-   the run aborts with a deterministic report ([Threads_lost]). *)
+   the victim's event queue, work list, and parked waiters all move to
+   the promoted successor — events keep their (ready_at, seq) keys, so
+   the global execution order stays total.  Without it the tasks are
+   unrecoverable and the run aborts with a deterministic report
+   ([Threads_lost]). *)
 let fail_stop t fo ~victim =
   let successor = Failover.fail_over fo ~victim in
   let replicate_threads =
@@ -1128,14 +997,6 @@ let fail_stop t fo ~victim =
   in
   let q = t.events.(victim) in
   let wl = t.worklists.(victim) in
-  let mail_count = ref 0 in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun mb ->
-          List.iter (fun m -> if m.m_proc = victim then incr mail_count) !mb)
-        row)
-    t.mailboxes;
   let parked_count =
     List.fold_left
       (fun n (p, _) -> if p = victim then n + 1 else n)
@@ -1144,32 +1005,13 @@ let fail_stop t fo ~victim =
   if replicate_threads then begin
     (* resident events: re-home, keys unchanged *)
     while not (Event_queue.is_empty q) do
-      let it = Event_queue.take q in
-      Event_queue.push t.events.(successor)
-        ~ready_at:it.Event_queue.ready_at ~seq:it.Event_queue.seq
-        it.Event_queue.payload
+      let ready_at = Event_queue.top_ready_at q in
+      let seq = Event_queue.top_seq q in
+      Event_queue.push t.events.(successor) ~ready_at ~seq
+        (Event_queue.take_payload q)
     done;
-    (* resident continuations: pop all, re-push bottom-first so the
-       victim's LIFO order survives on top of the successor's stack *)
-    let stack = ref [] in
-    while not (Stack.is_empty wl) do
-      stack := Stack.pop wl :: !stack
-    done;
-    List.iter (fun w -> Stack.push w t.worklists.(successor)) !stack;
-    (* deferred cross-shard mail addressed to the victim *)
-    if !mail_count > 0 then
-      Array.iter
-        (fun row ->
-          Array.iter
-            (fun mb ->
-              mb :=
-                List.map
-                  (fun m ->
-                    if m.m_proc = victim then { m with m_proc = successor }
-                    else m)
-                  !mb)
-            row)
-        t.mailboxes;
+    (* resident continuations, the victim's LIFO order kept on top *)
+    Work_list.move_all wl ~onto:t.worklists.(successor);
     (* parked-waiter bookkeeping follows the continuations *)
     if parked_count > 0 then
       t.parked <-
@@ -1179,9 +1021,7 @@ let fail_stop t fo ~victim =
           t.parked
   end
   else begin
-    let lost =
-      Event_queue.length q + Stack.length wl + !mail_count + parked_count
-    in
+    let lost = Event_queue.length q + Work_list.length wl + parked_count in
     if lost > 0 then begin
       let s = stats t in
       s.Stats.threads_lost <- s.Stats.threads_lost + lost;
@@ -1190,47 +1030,90 @@ let fail_stop t fo ~victim =
         (Threads_lost
            (Printf.sprintf
               "p%d fail-stopped with %d unreplicated resident task(s) \
-               (events=%d worklist=%d mail=%d parked=%d); rerun with \
-               replica threads enabled or treat the computation as lost"
-              victim lost (Event_queue.length q) (Stack.length wl)
-              !mail_count parked_count))
+               (events=%d worklist=%d parked=%d); rerun with replica \
+               threads enabled or treat the computation as lost"
+              victim lost (Event_queue.length q) (Work_list.length wl)
+              parked_count))
     end
   end;
   (* the protocol moved several clocks (successor, announcement
-     targets) and two queues changed shape: every cached shard
-     candidate may be stale *)
-  Array.iter (fun s -> s.s_dirty <- true) t.shards
+     targets) and two queues changed shape *)
+  rekey_all t
+
+(* Start running [thread] on [proc] (already set as [t.cur_proc]). *)
+let enter_task t thread =
+  t.cur_thread <- thread;
+  if Trace.is_on () then Trace.set_thread thread.tid;
+  (* a task must not inherit the ambient span context of whatever ran
+     last: cross-task context travels only inside scheduled closures
+     (via [Span.save]/[restore]), which re-install it themselves *)
+  if Span.is_on () then Span.clear ()
+
+(* --- Scheduler audit (tests) ----------------------------------------
+
+   With [audit_schedule] set, every [step] first recomputes each
+   processor's key from its queues and clock and checks that [t.cands]
+   picks what a linear scan over those fresh keys picks.  A key left
+   stale — a push or clock move the re-key discipline above missed —
+   fails the step. *)
+let audit_schedule = ref false
+
+let fresh_key t p =
+  let clock = Machine.now t.machine p in
+  let cand ~prio ~avail ~seq =
+    Some ((if clock > avail then clock else avail), prio, avail, seq)
+  in
+  let q = t.events.(p) and wl = t.worklists.(p) in
+  let e =
+    if Event_queue.is_empty q then None
+    else
+      cand ~prio:1 ~avail:(Event_queue.top_ready_at q)
+        ~seq:(Event_queue.top_seq q)
+  in
+  let w =
+    if Work_list.is_empty wl then None
+    else
+      cand ~prio:0 ~avail:(Work_list.top_pushed_at wl)
+        ~seq:(Work_list.top_seq wl)
+  in
+  match (e, w) with Some a, Some b -> Some (min a b) | k, None | None, k -> k
+
+let audit t =
+  let best = ref None in
+  for p = 0 to t.cfg.C.nprocs - 1 do
+    match (fresh_key t p, !best) with
+    | Some k, None -> best := Some (k, p)
+    | Some k, Some (b, _) when k < b -> best := Some (k, p)
+    | _ -> ()
+  done;
+  let got = Candidate_heap.min t.cands in
+  let heap_pick =
+    if got < 0 then None
+    else
+      Some
+        (got, Candidate_heap.start t.cands got, Candidate_heap.prio t.cands got)
+  in
+  let scan_pick =
+    Option.map (fun ((start, prio, _, _), p) -> (p, start, prio)) !best
+  in
+  if heap_pick <> scan_pick then
+    let show = function
+      | Some (p, start, prio) ->
+          Printf.sprintf "p%d at %d (prio %d)" p start prio
+      | None -> "nothing"
+    in
+    failwith
+      (Printf.sprintf
+         "Engine.step: the candidate heap picks %s, a scan over fresh keys \
+          picks %s"
+         (show heap_pick) (show scan_pick))
 
 let step t =
-  (* Refresh dirty shards and pick the globally minimal candidate,
-     flushing the mailboxes whenever the frontier has reached the
-     earliest deferred arrival (the epoch barrier; the lookahead
-     invariant keeps such flushes at least [Olden_config.lookahead]
-     cycles of virtual time apart). *)
-  let nshards = Array.length t.shards in
-  let rec pick () =
-    let best = ref (-1) in
-    for i = 0 to nshards - 1 do
-      let s = t.shards.(i) in
-      if s.s_dirty then rescan t s;
-      if s.c_proc >= 0 && (!best < 0 || shard_before s t.shards.(!best)) then
-        best := i
-    done;
-    if
-      t.mailbox_min < max_int
-      && (!best < 0 || t.shards.(!best).c_start >= t.mailbox_min)
-    then begin
-      flush_mailboxes t;
-      pick ()
-    end
-    else !best
-  in
-  let bi = pick () in
-  if bi < 0 then false
+  if !audit_schedule then audit t;
+  let proc = Candidate_heap.min t.cands in
+  if proc < 0 then false
   else begin
-    let sh = t.shards.(bi) in
-    let proc = sh.c_proc in
-    let best_start = sh.c_start in
+    let best_start = Candidate_heap.start t.cands proc in
     match t.failover with
     | Some fo when Failover.pending fo ~proc ~time:best_start ->
         (* the pick observed a fail-stop: the victim dies *before*
@@ -1244,36 +1127,35 @@ let step t =
        steps, so it drives the monitor's interval windows *)
     if Monitor.is_on () then Monitor.tick best_start;
     Machine.wait_until t.machine proc best_start;
-    let task =
-      match sh.c_src with
-      | Src_event -> (Event_queue.take t.events.(proc)).Event_queue.payload
-      | Src_work ->
-          let w = Stack.pop t.worklists.(proc) in
-          if t.cfg.C.trace then
-            Printf.eprintf "[t=%8d p=%2d] steal (tid=%d)\n%!"
-              (Machine.now t.machine proc) proc w.wtask.thread.tid;
-          let s = stats t in
-          s.Stats.steals <- s.Stats.steals + 1;
-          Machine.advance t.machine proc (costs t).C.steal;
-          if Trace.is_on () then
-            Trace.emit
-              { Trace.time = Machine.now t.machine proc; proc;
-                tid = w.wtask.thread.tid; site = -1; kind = Trace.Steal };
-          w.wtask
-    in
     t.cur_proc <- proc;
-    t.cur_thread <- task.thread;
-    t.exec_shard <- bi;
-    if Trace.is_on () then Trace.set_thread task.thread.tid;
-    (* a task must not inherit the ambient span context of whatever ran
-       last: cross-task context travels only inside scheduled closures
-       (via [Span.save]/[restore]), which re-install it themselves *)
-    if Span.is_on () then Span.clear ();
-    task.go ();
-    t.exec_shard <- -1;
-    (* the executed task popped this shard's queue, moved this shard's
-       clock, and may have pushed same-shard events *)
-    sh.s_dirty <- true;
+    if Candidate_heap.prio t.cands proc = 0 then begin
+      (* steal the most recent saved continuation *)
+      let wl = t.worklists.(proc) in
+      let thread = Work_list.top_thread wl in
+      let k = Work_list.top_k wl in
+      let cell = Work_list.top_v wl in
+      Work_list.drop wl;
+      if t.cfg.C.trace then
+        Printf.eprintf "[t=%8d p=%2d] steal (tid=%d)\n%!"
+          (Machine.now t.machine proc) proc thread.tid;
+      let s = stats t in
+      s.Stats.steals <- s.Stats.steals + 1;
+      Machine.advance t.machine proc (costs t).C.steal;
+      if Trace.is_on () then
+        Trace.emit
+          { Trace.time = Machine.now t.machine proc; proc; tid = thread.tid;
+            site = -1; kind = Trace.Steal };
+      enter_task t thread;
+      Effect.Deep.continue k cell
+    end
+    else begin
+      let task = Event_queue.take_payload t.events.(proc) in
+      enter_task t task.thread;
+      task.go ()
+    end;
+    (* the task popped this processor's queue or work list, moved its
+       clock, and may have pushed to it *)
+    rekey t proc;
     true
   end
 
@@ -1288,7 +1170,7 @@ let flight_state t =
         (Machine.now t.machine p)
         busy.(p) comm.(p)
         (Event_queue.length t.events.(p))
-        (Stack.length t.worklists.(p))
+        (Work_list.length t.worklists.(p))
         (Span.last_span_on p))
 
 (* The drained-but-blocked diagnostic: which sites the stuck threads
@@ -1369,7 +1251,7 @@ let exec t program =
             (fun () ->
               program ();
               t.finished <- true)
-            () (handler t));
+            () t.handler);
     };
   let cur = current () in
   let saved = !cur in
@@ -1391,12 +1273,14 @@ let exec t program =
    exactly like work the program spawned itself.
 
    Called from inside the running program (the serving driver injects
-   the whole arrival schedule from its main thread), so cross-shard
-   pushes are subject to the lookahead contract: [ready_at] must be at
-   least [Olden_config.lookahead] cycles past the injecting processor's
-   clock.  [on_complete] runs inside the request's fiber on the
-   processor that finished it, with that processor's clock — the serving
-   driver measures admission→completion latency from it. *)
+   the whole arrival schedule from its main thread).  [ready_at] should
+   lie at least [Olden_config.lookahead] cycles past the injecting
+   processor's clock, as any message sent from there would: an arrival
+   in the past would run before work the scheduler has already done,
+   and virtual time would step backwards.  [on_complete] runs inside the
+   request's fiber on the processor that finished it, with that
+   processor's clock — the serving driver measures admission→completion
+   latency from it. *)
 let inject t ~proc ~ready_at ?on_complete fn =
   (* an ingress processor that has fail-stopped redirects to its
      promoted successor, like every other send (identity on a healthy
@@ -1422,21 +1306,8 @@ let inject t ~proc ~ready_at ?on_complete fn =
               match on_complete with
               | Some f -> f ~proc:t.cur_proc ~finish:(now t)
               | None -> ())
-            () (handler t));
+            () t.handler);
     }
-
-(* Host-side sharding counters: how often the conservative-DES machinery
-   actually engaged.  All zero when [host_domains = 1] (one shard never
-   defers). *)
-type domain_report = {
-  shards : int;
-  epochs : int; (* epoch barriers taken (mailbox flushes) *)
-  deferred_events : int; (* cross-shard events routed through mailboxes *)
-}
-
-let domain_report (t : t) =
-  { shards = Array.length t.shards; epochs = t.epochs;
-    deferred_events = t.deferred }
 
 type report = {
   makespan : int;

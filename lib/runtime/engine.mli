@@ -25,8 +25,7 @@ exception Deadlock of string
 
 exception Threads_lost of string
 (** Raised when a processor fail-stops holding resident work —
-    queued events, work-list continuations, deferred mail, or parked
-    waiters — and the replication layer does not cover thread state
+    queued events, work-list continuations, or parked waiters — and the replication layer does not cover thread state
     ([replica_spec.threads = false]): the tasks are unrecoverable, so
     the run aborts with a deterministic report instead of wedging. *)
 
@@ -72,10 +71,10 @@ val inject :
     promoted successor.  Counts into [Stats.requests_admitted] /
     [requests_completed] and the machine's per-processor ingress tally.
 
-    Must be called from inside the running program; a cross-shard
-    injection is subject to the multi-domain lookahead contract —
-    [ready_at] at least {!Olden_config.lookahead} cycles past the
-    injecting processor's clock.  [on_complete] runs inside the
+    Must be called from inside the running program, with [ready_at] at
+    least {!Olden_config.lookahead} cycles past the injecting
+    processor's clock (as any message sent from it), so virtual time
+    never steps backwards.  [on_complete] runs inside the
     injected fiber on the processor that finished it, receiving that
     processor and its clock at completion. *)
 
@@ -88,18 +87,6 @@ type report = {
 }
 
 val report : t -> report
-
-type domain_report = {
-  shards : int;  (** host-side scheduler shards ([cfg.host_domains]) *)
-  epochs : int;  (** epoch barriers taken (mailbox flushes) *)
-  deferred_events : int;
-      (** cross-shard events routed through the (src,dst) mailboxes *)
-}
-
-val domain_report : t -> domain_report
-(** Counters of the conservative parallel-DES sharding.  With one shard
-    nothing is ever deferred and both counters stay zero; results are
-    bit-identical for any shard count (see docs/PERFORMANCE.md). *)
 
 val phase_snapshots : t -> (string * int * Stats.t) list
 (** Each phase mark with the statistics snapshot taken at it. *)
@@ -116,6 +103,13 @@ val interval : t -> start:string -> stop:string option -> int * Stats.t
 
 val run : Olden_config.t -> (unit -> unit) -> report
 (** [create] + [exec] + [report]. *)
+
+val audit_schedule : bool ref
+(** For tests; off by default.  When set, every scheduler step checks
+    that its indexed candidate heap picks exactly the task a linear scan
+    over freshly computed per-processor keys would pick, and fails with
+    [Failure] otherwise — a guard on the re-key discipline (only the
+    processors a task touched are re-keyed). *)
 
 (** {2 Fast-path operation entry points}
 

@@ -24,9 +24,8 @@
 
    Determinism: the arrival schedule is canonical, injection happens in
    one host-side loop before the serving epoch opens, and the engine
-   underneath is bit-identical for any host shard count — so the
-   serving snapshot is a pure function of (arrival_seed, fault_seed,
-   config). *)
+   underneath is deterministic — so the serving snapshot is a pure
+   function of (arrival_seed, fault_seed, config). *)
 
 module C = Olden_config
 module Ops = Olden_runtime.Ops
@@ -428,8 +427,8 @@ let run ?(scale = 64) ~(cfg : C.t) ~(spec : C.Serving.spec) ~mix heap =
             in
             Ops.phase "kernel";
             (* the serving epoch opens one lookahead past the built
-               heap's clocks, so injections satisfy the multi-domain
-               contract from any shard *)
+               heap's clocks, so no arrival lands in the scheduler's
+               past (Engine.inject's contract) *)
             let base = Machine.now (Engine.machine engine) 0 + C.lookahead cfg in
             let seed = spec.C.Serving.arrival_seed in
             List.iter

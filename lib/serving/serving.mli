@@ -15,9 +15,9 @@
     Everything is a pure function of
     [(arrival_seed, fault_seed, config)]: the arrival process is a
     stateless hash per [(seed, stream, index)], injection order is
-    canonical, and the engine underneath is deterministic for any
-    [--domains] shard count — so serving snapshots are byte-identical
-    run-to-run, across shard counts, and under a fixed fault schedule.
+    canonical, and the engine underneath is deterministic — so serving
+    snapshots are byte-identical run-to-run, for any [--domains] pool
+    size, and under a fixed fault schedule.
     Schema reference: docs/SERVING.md. *)
 
 module C = Olden_config

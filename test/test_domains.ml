@@ -1,10 +1,8 @@
-(* Multi-shard host execution: the conservative parallel-DES scheduler
-   partitions simulated processors across shards and exchanges
-   cross-shard events through epoch mailboxes, and the result must be a
-   pure function of the program and configuration — byte-identical
-   metrics snapshots, span streams, and time-series exports for any
-   shard count, faults off or on (including crash-and-restart runs),
-   with the multi-shard machinery demonstrably engaged. *)
+(* Host-side determinism: a run is a pure function of the program and
+   configuration — byte-identical metrics snapshots, span streams, and
+   time-series exports run after run, faults off or on (including
+   crash-and-restart runs) — and the parallel sweep driver's domain pool
+   is invisible in every result. *)
 
 open Olden
 module B = Olden_benchmarks
@@ -30,58 +28,48 @@ let test_scale (s : B.Common.spec) =
   | "Health" -> 8
   | _ -> 16
 
-let snapshot ?faults ~host_domains (s : B.Common.spec) =
+let snapshot ?faults (s : B.Common.spec) =
   Site.reset ();
-  let cfg = Config.make ~nprocs:8 ~host_domains ?faults () in
+  let cfg = Config.make ~nprocs:8 ?faults () in
   let scale = test_scale s in
   let o, events = Trace.collect (fun () -> s.B.Common.run cfg ~scale) in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   Json.to_string (B.Common.metrics_snapshot ~events s ~cfg ~scale o)
 
-(* --- Snapshots are byte-identical for any shard count ------------------- *)
+(* --- Snapshots are byte-identical run to run ----------------------------- *)
 
-let test_sharding_invisible_faults_off () =
+let test_run_twice_faults_off () =
   List.iter
     (fun (s : B.Common.spec) ->
-      let base = snapshot ~host_domains:1 s in
-      List.iter
-        (fun d ->
-          check string
-            (Printf.sprintf "%s: domains=%d = domains=1" s.B.Common.name d)
-            base
-            (snapshot ~host_domains:d s))
-        [ 2; 4 ])
+      check string
+        (s.B.Common.name ^ ": run-twice")
+        (snapshot s) (snapshot s))
     B.Registry.specs
 
-let test_sharding_invisible_faulty sched () =
+let test_run_twice_faulty sched () =
   List.iter
     (fun (s : B.Common.spec) ->
       let faults () = Option.get (Config.Faults.by_name sched ~seed:7) in
-      let base = snapshot ~faults:(faults ()) ~host_domains:1 s in
-      List.iter
-        (fun d ->
-          check string
-            (Printf.sprintf "%s %s: domains=%d = domains=1" s.B.Common.name
-               sched d)
-            base
-            (snapshot ~faults:(faults ()) ~host_domains:d s))
-        [ 2; 4 ])
+      check string
+        (Printf.sprintf "%s %s: run-twice" s.B.Common.name sched)
+        (snapshot ~faults:(faults ()) s)
+        (snapshot ~faults:(faults ()) s))
     B.Registry.specs
 
 (* --- Span and time-series exports, too ----------------------------------- *)
 
-let spans_jsonl ~host_domains (s : B.Common.spec) =
+let spans_jsonl (s : B.Common.spec) =
   Site.reset ();
-  let cfg = Config.make ~nprocs:8 ~host_domains () in
+  let cfg = Config.make ~nprocs:8 () in
   let o, spans =
     Span.collect (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
   in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   Span.jsonl spans
 
-let timeseries_jsonl ~host_domains (s : B.Common.spec) =
+let timeseries_jsonl (s : B.Common.spec) =
   Site.reset ();
-  let cfg = Config.make ~nprocs:8 ~host_domains () in
+  let cfg = Config.make ~nprocs:8 () in
   (B.Common.hooks ()).monitor_interval <- Some 10_000;
   let o =
     Fun.protect
@@ -103,57 +91,11 @@ let test_exports_identical () =
           (fun (s : B.Common.spec) -> s.B.Common.name = name)
           B.Registry.specs
       in
-      check string
-        (name ^ " span stream: domains=4 = domains=1")
-        (spans_jsonl ~host_domains:1 s)
-        (spans_jsonl ~host_domains:4 s);
-      check string
-        (name ^ " timeseries: domains=4 = domains=1")
-        (timeseries_jsonl ~host_domains:1 s)
-        (timeseries_jsonl ~host_domains:4 s))
+      check string (name ^ " span stream: run-twice") (spans_jsonl s)
+        (spans_jsonl s);
+      check string (name ^ " timeseries: run-twice") (timeseries_jsonl s)
+        (timeseries_jsonl s))
     [ "TreeAdd"; "EM3D" ]
-
-(* --- Determinism: run-twice at domains=4 --------------------------------- *)
-
-let test_run_twice () =
-  List.iter
-    (fun (s : B.Common.spec) ->
-      let faults = Config.Faults.mixed ~seed:7 () in
-      check string
-        (s.B.Common.name ^ ": domains=4 run-twice")
-        (snapshot ~faults ~host_domains:4 s)
-        (snapshot ~faults ~host_domains:4 s))
-    [ B.Treeadd.spec; B.Em3d.spec; B.Health.spec ]
-
-(* --- The sharded path actually engages ----------------------------------- *)
-
-let test_machinery_engages () =
-  let s = B.Em3d.spec in
-  let run ~host_domains =
-    Site.reset ();
-    let report = ref None in
-    (B.Common.hooks ()).inspect_engine <-
-      Some (fun e -> report := Some (Engine.domain_report e));
-    Fun.protect
-      ~finally:(fun () -> (B.Common.hooks ()).inspect_engine <- None)
-      (fun () ->
-        let o =
-          s.B.Common.run
-            (Config.make ~nprocs:8 ~host_domains ())
-            ~scale:(test_scale s)
-        in
-        check bool "verified" true o.B.Common.ok);
-    Option.get !report
-  in
-  let single = run ~host_domains:1 in
-  check int "one shard" 1 single.Engine.shards;
-  check int "one shard: nothing deferred" 0 single.Engine.deferred_events;
-  check int "one shard: no epochs" 0 single.Engine.epochs;
-  let quad = run ~host_domains:4 in
-  check int "four shards" 4 quad.Engine.shards;
-  check bool "cross-shard events were deferred" true
-    (quad.Engine.deferred_events > 0);
-  check bool "epoch barriers were taken" true (quad.Engine.epochs > 0)
 
 (* --- Sweep driver: pool size is invisible -------------------------------- *)
 
@@ -208,7 +150,7 @@ let test_pool_runs_simulations () =
       if sched = "none" then None
       else Some (Option.get (Config.Faults.by_name sched ~seed:7))
     in
-    snapshot ?faults ~host_domains:2 s
+    snapshot ?faults s
   in
   let run domains = Sweep.run ~domains job points in
   let inline, _ = run 1 in
@@ -244,19 +186,14 @@ let test_take_releases_payload () =
 
 let suite =
   [
-    Alcotest.test_case "snapshots identical for 1/2/4 shards (faults off)"
-      `Quick test_sharding_invisible_faults_off;
-    Alcotest.test_case "snapshots identical for 1/2/4 shards (mix)" `Quick
-      (test_sharding_invisible_faulty "mix");
-    Alcotest.test_case "snapshots identical for 1/2/4 shards (crash-mix)"
-      `Quick
-      (test_sharding_invisible_faulty "crash-mix");
-    Alcotest.test_case "span + timeseries exports identical across shards"
+    Alcotest.test_case "snapshots identical run-twice (faults off)" `Quick
+      test_run_twice_faults_off;
+    Alcotest.test_case "snapshots identical run-twice (mix)" `Quick
+      (test_run_twice_faulty "mix");
+    Alcotest.test_case "snapshots identical run-twice (crash-mix)" `Quick
+      (test_run_twice_faulty "crash-mix");
+    Alcotest.test_case "span + timeseries exports identical run-twice"
       `Quick test_exports_identical;
-    Alcotest.test_case "domains=4 run-twice byte-identical" `Quick
-      test_run_twice;
-    Alcotest.test_case "multi-shard machinery engages" `Quick
-      test_machinery_engages;
     Alcotest.test_case "pool keeps submission order for any size" `Quick
       test_pool_order;
     Alcotest.test_case "pool re-raises the earliest failure" `Quick

@@ -105,13 +105,34 @@ let test_memory_bounds () =
 
 let test_memory_growth () =
   let m = Memory.create ~nprocs:1 in
-  (* force several section doublings *)
-  let last = ref Gptr.null in
-  for _ = 1 to 10000 do
-    last := Memory.alloc m ~proc:0 3
-  done;
-  Memory.store m !last 2 (Value.Int 99);
-  check int "value survives growth" 99 (Value.to_int (Memory.load m !last 2))
+  (* grow through several storage chunks: 3-word objects straddle chunk
+     boundaries, and one allocation is larger than a chunk *)
+  let objs = Array.init 10000 (fun _ -> (Memory.alloc m ~proc:0 3, 3)) in
+  let objs = Array.append objs [| (Memory.alloc m ~proc:0 10_000, 10_000) |] in
+  (* every word holds its own address, so any two words sharing storage
+     show up *)
+  Array.iter
+    (fun (g, n) ->
+      for f = 0 to n - 1 do
+        Memory.store m g f (Value.Int (Gptr.addr g + f))
+      done)
+    objs;
+  check bool "every word survives growth" true
+    (Array.for_all
+       (fun (g, n) ->
+         List.for_all
+           (fun f -> Value.to_int (Memory.load m g f) = Gptr.addr g + f)
+           (List.init n Fun.id))
+       objs);
+  (* every line, chunk edges included, reads back word for word *)
+  for line_index = 0 to (Memory.words_used m 0 / G.words_per_line) - 1 do
+    Array.iteri
+      (fun i v ->
+        let addr = (line_index * G.words_per_line) + i in
+        if not (Value.equal v (Memory.word_at m ~proc:0 ~addr)) then
+          Alcotest.failf "line %d word %d differs" line_index i)
+      (Memory.read_line m ~proc:0 ~line_index)
+  done
 
 let test_read_line () =
   let m = Memory.create ~nprocs:1 in

@@ -20,4 +20,5 @@ let () =
       ("span", Test_span.suite);
       ("domains", Test_domains.suite);
       ("serving", Test_serving.suite);
+      ("scheduler", Test_scheduler.suite);
     ]

@@ -130,7 +130,7 @@ let test_mix_grammar () =
 
 (* --- Serving snapshots are deterministic ---------------------------------- *)
 
-let serve ?faults ?(host_domains = 1) ?(arrival_seed = 1) heap =
+let serve ?faults ?(arrival_seed = 1) heap =
   Site.reset ();
   let replication =
     (* a fail-stop schedule needs a mirror for every home *)
@@ -138,7 +138,7 @@ let serve ?faults ?(host_domains = 1) ?(arrival_seed = 1) heap =
     | Some f when f.Config.failstop > 0. -> Some Config.default_replica
     | _ -> None
   in
-  let cfg = Config.make ~nprocs:8 ~host_domains ?faults ?replication () in
+  let cfg = Config.make ~nprocs:8 ?faults ?replication () in
   let r =
     Serving.run ~scale:64 ~cfg ~spec:(spec ~arrival_seed ())
       ~mix:Serving.default_mix heap
@@ -156,30 +156,16 @@ let test_run_twice () =
         (serve heap) (serve heap))
     Serving.all_heaps
 
-let test_domains_invisible () =
-  List.iter
-    (fun heap ->
-      check string
-        (Serving.heap_name heap ^ " domains=4 = domains=1")
-        (serve ~host_domains:1 heap)
-        (serve ~host_domains:4 heap))
-    Serving.all_heaps
-
 let test_chaos_deterministic () =
   (* under fault schedules the serving export stays a pure function of
-     (arrival_seed, fault_seed, config), shard count included *)
+     (arrival_seed, fault_seed, config) *)
   List.iter
     (fun sched ->
       let faults () = Option.get (Config.Faults.by_name sched ~seed:7) in
-      let base = serve ~faults:(faults ()) ~host_domains:1 Serving.Treeadd in
       check string
         (sched ^ ": run-twice byte-identical")
-        base
-        (serve ~faults:(faults ()) ~host_domains:1 Serving.Treeadd);
-      check string
-        (sched ^ ": domains=4 = domains=1")
-        base
-        (serve ~faults:(faults ()) ~host_domains:4 Serving.Treeadd))
+        (serve ~faults:(faults ()) Serving.Treeadd)
+        (serve ~faults:(faults ()) Serving.Treeadd))
     [ "mix"; "crash-mix"; "failstop" ]
 
 let test_seed_matters () =
@@ -335,8 +321,6 @@ let suite =
       test_mix_grammar;
     Alcotest.test_case "serving snapshot run-twice byte-identical" `Quick
       test_run_twice;
-    Alcotest.test_case "serving snapshot identical across host domains"
-      `Quick test_domains_invisible;
     Alcotest.test_case "serving deterministic under mix/crash-mix/failstop"
       `Quick test_chaos_deterministic;
     Alcotest.test_case "arrival seed changes the served stream" `Quick
