@@ -274,53 +274,59 @@ let on_migration_received t ~proc =
       Translation.mark_all_suspect t.tables.(proc)
   | C.Global -> ()
 
+(* Invalidate the lines [mask] of [gpage] at every sharer in the bitmask
+   [rest] (bit 0 = processor [sharer]) other than the releasing [proc].
+   Top-level, not a closure over the page: a release allocates nothing. *)
+let rec invalidate_sharers t ~proc ~gpage ~mask sharer rest =
+  if rest <> 0 then begin
+    (if rest land 1 <> 0 && sharer <> proc then begin
+       let s = stats t in
+       let page_index = gpage land 0xffff in
+       ignore
+         (Machine.one_way t.machine ~src:proc ~dst:sharer
+            ~service:(costs t).C.invalidate_line);
+       s.Stats.invalidation_messages <- s.Stats.invalidation_messages + 1;
+       if Trace.is_on () then
+         emit t ~proc (Trace.Inval_send { target = sharer; page = page_index });
+       let e = Translation.probe t.tables.(sharer) gpage in
+       if e != Translation.no_entry then begin
+         let dropped = Translation.invalidate_lines e mask in
+         s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
+         if Trace.is_on () then
+           emit t ~proc:sharer
+             (Trace.Inval_recv { source = proc; page = page_index; dropped })
+       end
+     end);
+    invalidate_sharers t ~proc ~gpage ~mask (sharer + 1) (rest lsr 1)
+  end
+
 (* A migration leaves [proc] carrying thread state with write log [log]
-   (a release). *)
+   (a release).  The dirty pages are walked in ascending page order, the
+   order coherence messages are issued in. *)
 let on_migration_sent t ~proc ~(log : Write_log.t) =
-  let c = costs t in
-  let s = stats t in
-  (match coherence t with
-  | C.Local -> ()
-  | C.Global ->
-      (* eager release consistency: invalidate the written lines at every
-         sharer of each written page (sharer sets are bitmasks; no List.mem
-         on the hot path) *)
-      List.iter
-        (fun (gpage, mask) ->
+  if not (Write_log.is_empty log) then
+    match coherence t with
+    | C.Local -> ()
+    | C.Global ->
+        (* eager release consistency: invalidate the written lines at
+           every sharer of each written page (sharer sets are bitmasks;
+           no List.mem on the hot path) *)
+        for i = 0 to Write_log.dirty_count log - 1 do
+          let gpage = Write_log.dirty_page log i in
           let home = gpage lsr 16 and page_index = gpage land 0xffff in
-          let sharers = Directory.sharer_mask t.directories.(home) page_index in
-          let rec each sharer rest =
-            if rest <> 0 then begin
-              (if rest land 1 <> 0 && sharer <> proc then begin
-                 ignore
-                   (Machine.one_way t.machine ~src:proc ~dst:sharer
-                      ~service:c.C.invalidate_line);
-                 s.Stats.invalidation_messages <-
-                   s.Stats.invalidation_messages + 1;
-                 if Trace.is_on () then
-                   emit t ~proc
-                     (Trace.Inval_send { target = sharer; page = page_index });
-                 let e = Translation.probe t.tables.(sharer) gpage in
-                 if e != Translation.no_entry then begin
-                   let dropped = Translation.invalidate_lines e mask in
-                   s.Stats.lines_invalidated <-
-                     s.Stats.lines_invalidated + dropped;
-                   if Trace.is_on () then
-                     emit t ~proc:sharer
-                       (Trace.Inval_recv
-                          { source = proc; page = page_index; dropped })
-                 end
-               end);
-              each (sharer + 1) (rest lsr 1)
-            end
-          in
-          each 0 sharers)
-        (Write_log.dirty_pages log);
-      Write_log.clear_dirty log
-  | C.Bilateral ->
-      (* stamp the written pages at their homes so revalidations notice *)
-      List.iter
-        (fun (gpage, _mask) ->
+          invalidate_sharers t ~proc ~gpage
+            ~mask:(Write_log.dirty_mask log i)
+            0
+            (Directory.sharer_mask t.directories.(home) page_index)
+        done;
+        Write_log.clear_dirty log
+    | C.Bilateral ->
+        (* stamp the written pages at their homes so revalidations
+           notice *)
+        let c = costs t in
+        let s = stats t in
+        for i = 0 to Write_log.dirty_count log - 1 do
+          let gpage = Write_log.dirty_page log i in
           let home = gpage lsr 16 and page_index = gpage land 0xffff in
           if home <> proc then begin
             ignore
@@ -329,11 +335,12 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
             s.Stats.invalidation_messages <-
               s.Stats.invalidation_messages + 1;
             if Trace.is_on () then
-              emit t ~proc (Trace.Inval_send { target = home; page = page_index })
+              emit t ~proc
+                (Trace.Inval_send { target = home; page = page_index })
           end;
-          Directory.bump_timestamp t.directories.(home) ~page_index)
-        (Write_log.dirty_pages log);
-      Write_log.clear_dirty log)
+          Directory.bump_timestamp t.directories.(home) ~page_index
+        done;
+        Write_log.clear_dirty log
 
 (* A thread returns (return stub) to [proc]; under the local scheme's
    refinement only lines homed at processors the thread wrote need to go

@@ -8,8 +8,8 @@
 type t
 
 val create : unit -> t
-(** An empty log.  Allocates only the log record itself; the dirty-line
-    table is created by the first {!record}. *)
+(** An empty log.  Allocates only the log record itself; the dirty-page
+    array is created by the first {!record}. *)
 
 val record : t -> gpage:int -> line:int -> home:int -> unit
 (** Log one written line of global page [gpage] homed at [home]. *)
@@ -18,8 +18,20 @@ val record_home : t -> home:int -> unit
 (** Log a write to [home]'s memory without its line: all the local
     scheme needs (it never releases dirty lines).  Allocation-free. *)
 
+val dirty_count : t -> int
+(** Number of distinct pages written since the last release. *)
+
+val dirty_page : t -> int -> int
+(** [dirty_page t i], for [0 <= i < dirty_count t]: the [i]-th dirty
+    global page id, in ascending order.  With {!dirty_mask}, the
+    allocation-free walk a release uses. *)
+
+val dirty_mask : t -> int -> int
+(** [dirty_mask t i]: the bitmask of lines written in [dirty_page t i]. *)
+
 val dirty_pages : t -> (int * int) list
-(** [(gpage, line bitmask)] pairs written since the last release. *)
+(** [(gpage, line bitmask)] pairs written since the last release, in
+    ascending page order (a list copy of the walk above, for tests). *)
 
 val written_procs : t -> int list
 (** Sorted distinct processors the thread has written — cumulative, never

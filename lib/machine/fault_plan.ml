@@ -147,14 +147,16 @@ let failstop_due t ~proc ~time =
    [timeout * backoff^attempt] overflows the host int long before the
    final [min] would apply, and a wrapped-negative wait would move clocks
    backwards. *)
+let rec backoff ~factor ~cap wait k =
+  if k <= 0 || wait >= cap then wait
+  else
+    let next = wait * factor in
+    if next < wait then cap (* overflow wrapped; the cap dominates *)
+    else backoff ~factor ~cap next (k - 1)
+
 let retry_wait t ~attempt =
   let r = t.retry in
   let cap = r.Olden_config.max_timeout in
-  let rec go wait k =
-    if k <= 0 || wait >= cap then wait
-    else
-      let next = wait * r.Olden_config.backoff in
-      if next < wait then cap (* overflow wrapped; the cap dominates *)
-      else go next (k - 1)
-  in
-  min (go r.Olden_config.timeout attempt) cap
+  min
+    (backoff ~factor:r.Olden_config.backoff ~cap r.Olden_config.timeout attempt)
+    cap

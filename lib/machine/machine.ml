@@ -156,17 +156,18 @@ let stall t proc cycles =
 
 (* --- Fault bookkeeping helpers -------------------------------------- *)
 
-(* Trace events for faults reuse the emitter's thread/site context; every
-   call site guards on [Trace.is_on] via these helpers. *)
+(* Trace events for faults reuse the emitter's thread/site context.  Every
+   call site guards on [Trace.is_on] itself, so the event's kind is not
+   even built while tracing is off. *)
 let emit_fault ~proc ~time kind =
-  if Trace.is_on () then
-    Trace.emit
-      { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
+  Trace.emit
+    { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
 
 let note_drop t ~dst ~time ~attempt ~outage =
   t.stats.Stats.msg_drops <- t.stats.Stats.msg_drops + 1;
   if outage then t.stats.Stats.outage_drops <- t.stats.Stats.outage_drops + 1;
-  emit_fault ~proc:dst ~time (Trace.Fault_drop { dst; attempt; outage });
+  if Trace.is_on () then
+    emit_fault ~proc:dst ~time (Trace.Fault_drop { dst; attempt; outage });
   if Span.is_on () then
     Span.child ~kind:Span.Drop ~proc:dst ~t0:time ~t1:time ~a:attempt
       ~b:(if outage then 1 else 0)
@@ -174,7 +175,8 @@ let note_drop t ~dst ~time ~attempt ~outage =
 let note_delay t ~dst ~time ~cycles =
   if cycles > 0 then begin
     t.stats.Stats.msg_delays <- t.stats.Stats.msg_delays + 1;
-    emit_fault ~proc:dst ~time (Trace.Fault_delay { dst; cycles });
+    if Trace.is_on () then
+      emit_fault ~proc:dst ~time (Trace.Fault_delay { dst; cycles });
     if Span.is_on () then
       Span.child ~kind:Span.Delay ~proc:dst ~t0:(time - cycles) ~t1:time
         ~a:cycles ~b:0
@@ -191,7 +193,7 @@ let note_suppressed t ~dst ~time =
   t.stats.Stats.msg_duplicates <- t.stats.Stats.msg_duplicates + 1;
   t.stats.Stats.duplicates_suppressed <-
     t.stats.Stats.duplicates_suppressed + 1;
-  emit_fault ~proc:dst ~time (Trace.Fault_dup { dst });
+  if Trace.is_on () then emit_fault ~proc:dst ~time (Trace.Fault_dup { dst });
   if Span.is_on () then
     Span.child ~kind:Span.Dup ~proc:dst ~t0:time ~t1:time ~a:0 ~b:0
 
@@ -207,7 +209,8 @@ let note_retry t plan ~dst ~klass ~time ~attempt =
   let wait = Fault_plan.retry_wait plan ~attempt in
   t.stats.Stats.retries <- t.stats.Stats.retries + 1;
   t.stats.Stats.retry_cycles <- t.stats.Stats.retry_cycles + wait;
-  emit_fault ~proc:dst ~time (Trace.Retry { dst; attempt; wait });
+  if Trace.is_on () then
+    emit_fault ~proc:dst ~time (Trace.Retry { dst; attempt; wait });
   if Span.is_on () then
     Span.child ~kind:Span.Backoff ~proc:dst ~t0:time ~t1:(time + wait)
       ~a:attempt ~b:wait;
@@ -314,6 +317,11 @@ let klass_code = function
   | Fault_plan.Recovery -> 3
   | Fault_plan.Replica -> 4
 
+(* Emit the Rpc envelope span of a round trip opened at [t0]. *)
+let close_rpc t ~id ~prev ~klass ~src ~dst ~t0 =
+  Span.exit_emit ~id ~prev ~kind:Span.Rpc ~proc:src ~t0 ~t1:t.clock.(src)
+    ~a:dst ~b:(klass_code klass)
+
 let request_reply ?(klass = Fault_plan.Data) t ~src ~dst ~service =
   let dst = resolve t dst in
   if Span.is_on () then begin
@@ -322,22 +330,18 @@ let request_reply ?(klass = Fault_plan.Data) t ~src ~dst ~service =
     let t0 = t.clock.(src) in
     let prev = Span.parent () in
     let id = Span.enter () in
-    let finish () =
-      Span.exit_emit ~id ~prev ~kind:Span.Rpc ~proc:src ~t0 ~t1:t.clock.(src)
-        ~a:dst ~b:(klass_code klass)
-    in
     match
       match t.fault with
       | None -> request_reply_reliable t ~src ~dst ~service
       | Some plan -> request_reply_faulty t plan ~klass ~src ~dst ~service
     with
     | reply ->
-        finish ();
+        close_rpc t ~id ~prev ~klass ~src ~dst ~t0;
         reply
     | exception e ->
         (* Undeliverable: still emit the envelope so the flight recorder
            shows the failed RPC as the last thing that happened *)
-        finish ();
+        close_rpc t ~id ~prev ~klass ~src ~dst ~t0;
         raise e
   end
   else
@@ -400,27 +404,22 @@ let one_way ?(klass = Fault_plan.Data) t ~src ~dst ~service =
    the sender give up?  Lost forward legs delay the arrival by the backoff
    wait; a lost acknowledgement triggers a retransmission that the
    receiver's sequence check discards (the thread must start exactly
-   once), delaying nothing. *)
-type delivery =
-  | Delivered of { penalty : int }
-  | Gave_up of { penalty : int; attempts : int }
-
-(* The on-time outcome, shared: a reliable network returns it for every
-   transfer without allocating. *)
-let on_time = Delivered { penalty = 0 }
+   once), delaying nothing.  Returns the penalty, an int, so a delivery
+   allocates nothing; giving up, the rare case, raises [Gave_up]. *)
+exception Gave_up of { penalty : int; attempts : int }
 
 let thread_delivery t ~dst ~klass ~send_time ~give_up_after =
   let dst = resolve t dst in
   match t.fault with
-  | None -> on_time
+  | None -> 0
   | Some plan ->
       let c = costs t in
       let seq = Fault_plan.fresh_seq plan in
       let max_attempts = (Fault_plan.retry plan).Olden_config.max_attempts in
       let penalty = ref 0 in
       let attempt = ref 0 in
-      let result = ref None in
-      while !result = None do
+      let delivered = ref false in
+      while not !delivered do
         let k = !attempt in
         let fwd = Fault_plan.decide plan ~klass ~leg:Fault_plan.Forward ~seq ~attempt:k in
         if k > 0 then t.stats.Stats.messages <- t.stats.Stats.messages + 1;
@@ -437,7 +436,7 @@ let thread_delivery t ~dst ~klass ~send_time ~give_up_after =
           let attempts = k + 1 in
           match give_up_after with
           | Some n when attempts >= n ->
-              result := Some (Gave_up { penalty = !penalty; attempts })
+              raise (Gave_up { penalty = !penalty; attempts })
           | _ ->
               let wait = note_retry t plan ~dst ~klass ~time:send_time ~attempt:k in
               penalty := !penalty + wait;
@@ -465,13 +464,10 @@ let thread_delivery t ~dst ~klass ~send_time ~give_up_after =
             end
             else acked := true
           done;
-          result :=
-            Some
-              (if !penalty = 0 then on_time
-               else Delivered { penalty = !penalty })
+          delivered := true
         end
       done;
-      Option.get !result
+      !penalty
 
 let count_bytes t n = t.stats.Stats.bytes <- t.stats.Stats.bytes + n
 

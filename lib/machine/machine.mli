@@ -120,12 +120,9 @@ val one_way :
     replica mirroring sends [Fault_plan.Replica].
     @raise Undeliverable when the retry budget is exhausted. *)
 
-type delivery =
-  | Delivered of { penalty : int }
-      (** arrival is [penalty] cycles later than the fault-free schedule *)
-  | Gave_up of { penalty : int; attempts : int }
-      (** the sender abandoned the transfer after [attempts] tries, having
-          burned [penalty] cycles on retry timers *)
+exception Gave_up of { penalty : int; attempts : int }
+(** A thread-state transfer the sender abandoned after [attempts] tries,
+    having burned [penalty] cycles on retry timers. *)
 
 val thread_delivery :
   t ->
@@ -133,16 +130,19 @@ val thread_delivery :
   klass:Fault_plan.klass ->
   send_time:int ->
   give_up_after:int option ->
-  delivery
+  int
 (** Deliver a thread-state transfer (migration or return stub) sent at
-    [send_time].  The engine charges the base send/receive costs and the
-    one base message; this only accounts for faults: lost forward legs
-    delay the arrival by the backoff wait, lost acknowledgements trigger
-    retransmissions that the receiver's sequence check discards (the fiber
-    resumes exactly once).  [give_up_after] bounds the forward attempts —
-    used by migrations so a flaky home degrades to caching instead of
-    wedging the thread; with [None] the transfer retries up to
-    [max_attempts].  Reliable network: always [Delivered {penalty = 0}].
+    [send_time], and return its penalty: how many cycles later than the
+    fault-free schedule it arrives.  The engine charges the base
+    send/receive costs and the one base message; this only accounts for
+    faults: lost forward legs delay the arrival by the backoff wait, lost
+    acknowledgements trigger retransmissions that the receiver's sequence
+    check discards (the fiber resumes exactly once).  [give_up_after]
+    bounds the forward attempts — used by migrations so a flaky home
+    degrades to caching instead of wedging the thread; with [None] the
+    transfer retries up to [max_attempts].  Reliable network: always [0].
+    Allocation-free unless it raises.
+    @raise Gave_up when [give_up_after] attempts were all lost.
     @raise Undeliverable when the retry budget is exhausted. *)
 
 val count_bytes : t -> int -> unit

@@ -46,7 +46,9 @@ type t = {
   retry_h : Metrics.histogram;
   recovery_h : Metrics.histogram;
   site_reg : Metrics.t; (* per-site histograms, kept out of window rows *)
-  site_h : (int, Metrics.histogram) Hashtbl.t; (* sid * 4 + mech_index *)
+  mutable site_h : Metrics.histogram array;
+      (* indexed by sid * 4 + mech_index, so the hot hook reads a slot
+         instead of hashing; [no_site] where unseen *)
   req_reg : Metrics.t; (* per-request-class admission→completion latency *)
   req_h : (string, Metrics.histogram) Hashtbl.t; (* keyed by class label *)
   (* Exemplars: per mechanism, the trace ids of the worst episodes seen,
@@ -58,6 +60,9 @@ type t = {
   ex_cy : int array array; (* [mech].(slot) episode cycles *)
   ex_tp : int array array; (* [mech].(slot) trace proc *)
   ex_ts : int array array; (* [mech].(slot) trace seq *)
+  ex_min : int array;
+      (* per mech_index, once its slots are full: the first slot holding
+         the smallest exemplar, the one a worse episode displaces *)
   mutable mark : int; (* left edge of the open window *)
   mutable prev_stats : (string * int) list;
   mutable prev_busy : int array;
@@ -69,6 +74,9 @@ type t = {
 }
 
 let exemplar_slots = 16
+
+(* Placeholder for site slots never observed; never written. *)
+let no_site = Metrics.histogram (Metrics.create ()) "unused"
 
 let create ~interval ~nprocs ~probe =
   if interval < 1 then invalid_arg "Monitor.create: interval < 1";
@@ -90,13 +98,14 @@ let create ~interval ~nprocs ~probe =
     retry_h = Metrics.histogram lat "retry_wait_cycles";
     recovery_h = Metrics.histogram lat "recovery_stall_cycles";
     site_reg = Metrics.create ();
-    site_h = Hashtbl.create 64;
+    site_h = [||];
     req_reg = Metrics.create ();
     req_h = Hashtbl.create 8;
     ex_n = Array.make 4 0;
     ex_cy = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
     ex_tp = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
     ex_ts = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
+    ex_min = Array.make 4 0;
     mark = 0;
     prev_stats = probe.stats ();
     prev_busy = probe.busy ();
@@ -179,56 +188,72 @@ let install m =
 let uninstall () = active () := None
 let is_on () = match !(active ()) with Some _ -> true | None -> false
 
+(* The first slot holding mechanism [m]'s smallest exemplar. *)
+let min_slot t m =
+  let cy = t.ex_cy.(m) in
+  let worst = ref 0 in
+  for i = 1 to exemplar_slots - 1 do
+    if cy.(i) < cy.(!worst) then worst := i
+  done;
+  !worst
+
 (* Keep the worst [exemplar_slots] episodes per mechanism: append while
    there is room, otherwise displace the (first) smallest held exemplar
    when the new episode is strictly worse — deterministic, bounded, and
-   allocation-free. *)
+   allocation-free.  That slot is kept in [ex_min], so an episode that
+   displaces nothing costs one comparison. *)
 let note_exemplar t ~mech ~cycles =
   let m = mech_index mech in
   let tp = Span.trace_proc () in
   if tp >= 0 then begin
-    let ts = Span.trace_seq () in
     let n = t.ex_n.(m) in
     if n < exemplar_slots then begin
       t.ex_cy.(m).(n) <- cycles;
       t.ex_tp.(m).(n) <- tp;
-      t.ex_ts.(m).(n) <- ts;
-      t.ex_n.(m) <- n + 1
+      t.ex_ts.(m).(n) <- Span.trace_seq ();
+      t.ex_n.(m) <- n + 1;
+      if n + 1 = exemplar_slots then t.ex_min.(m) <- min_slot t m
     end
     else begin
-      let worst = ref 0 in
-      for i = 1 to n - 1 do
-        if t.ex_cy.(m).(i) < t.ex_cy.(m).(!worst) then worst := i
-      done;
-      if cycles > t.ex_cy.(m).(!worst) then begin
-        t.ex_cy.(m).(!worst) <- cycles;
-        t.ex_tp.(m).(!worst) <- tp;
-        t.ex_ts.(m).(!worst) <- ts
+      let worst = t.ex_min.(m) in
+      if cycles > t.ex_cy.(m).(worst) then begin
+        t.ex_cy.(m).(worst) <- cycles;
+        t.ex_tp.(m).(worst) <- tp;
+        t.ex_ts.(m).(worst) <- Span.trace_seq ();
+        t.ex_min.(m) <- min_slot t m
       end
     end
   end
+
+(* The per-site histogram for [key] = sid * 4 + mech_index, created on
+   first use. *)
+let new_site t ~key =
+  let h =
+    Metrics.histogram t.site_reg
+      ~labels:
+        [
+          ("mech", mech_name mechs.(key mod 4));
+          ("sid", Printf.sprintf "%06d" (key / 4));
+        ]
+      "deref_latency"
+  in
+  if key >= Array.length t.site_h then begin
+    let grown = Array.make (max 64 (2 * (key + 1))) no_site in
+    Array.blit t.site_h 0 grown 0 (Array.length t.site_h);
+    t.site_h <- grown
+  end;
+  t.site_h.(key) <- h;
+  h
 
 let deref_m t ~sid ~mech ~cycles =
   Metrics.observe t.deref_h.(mech_index mech) cycles;
   if Span.is_on () then note_exemplar t ~mech ~cycles;
   if sid >= 0 then begin
     let key = (sid * 4) + mech_index mech in
-    (* [find], not [find_opt]: a hit must not allocate an option *)
     let h =
-      match Hashtbl.find t.site_h key with
-      | h -> h
-      | exception Not_found ->
-          let h =
-            Metrics.histogram t.site_reg
-              ~labels:
-                [
-                  ("mech", mech_name mech);
-                  ("sid", Printf.sprintf "%06d" sid);
-                ]
-              "deref_latency"
-          in
-          Hashtbl.replace t.site_h key h;
-          h
+      if key < Array.length t.site_h && t.site_h.(key) != no_site then
+        t.site_h.(key)
+      else new_site t ~key
     in
     Metrics.observe h cycles
   end
@@ -334,8 +359,9 @@ let request_summaries t =
   |> List.map (fun (klass, h) -> (klass, summarize h))
 
 let site_summaries ?(site_names = []) t =
-  Hashtbl.fold (fun key h acc -> (key, h) :: acc) t.site_h []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  (* in key order: by sid, then mechanism *)
+  Array.to_list (Array.mapi (fun key h -> (key, h)) t.site_h)
+  |> List.filter (fun (_, h) -> h != no_site)
   |> List.map (fun (key, h) ->
          let sid = key / 4 in
          let label =
@@ -353,6 +379,11 @@ type exemplar = {
   ex_trace_proc : int;
   ex_trace_seq : int;
 }
+
+let held_exemplars t mech =
+  let m = mech_index mech in
+  Array.init t.ex_n.(m) (fun i ->
+      (t.ex_cy.(m).(i), t.ex_tp.(m).(i), t.ex_ts.(m).(i)))
 
 let deref_quantile t mech q = Metrics.quantile t.deref_h.(mech_index mech) q
 

@@ -187,6 +187,10 @@ val exemplars : ?percentile:float -> t -> exemplar list
     threshold of their own mechanism's latency histogram, worst first;
     deterministic order. *)
 
+val held_exemplars : t -> mech -> (int * int * int) array
+(** The mechanism's exemplar slots in slot order, unfiltered, as
+    (cycles, trace proc, trace seq): the table {!exemplars} reads. *)
+
 val deref_quantile : t -> mech -> float -> int
 (** The mechanism's latency quantile ({!Metrics.quantile}). *)
 

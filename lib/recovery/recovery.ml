@@ -166,14 +166,17 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
    backwards, so latching every window asked about, fired or not, also
    keeps the (mostly negative) windows from being asked again at every
    boundary they contain. *)
+(* The forced orders without the first one due on [proc] by [time], or
+   [None].  Top-level, not a closure over [proc] and [time]: the crash
+   check runs at every operation boundary under a fault schedule. *)
+let rec take_forced ~proc ~time acc = function
+  | [] -> None
+  | (p, at) :: rest when p = proc && at <= time ->
+      Some (List.rev_append acc rest)
+  | entry :: rest -> take_forced ~proc ~time (entry :: acc) rest
+
 let crash_pending t ~proc ~time =
-  let rec take acc = function
-    | [] -> None
-    | (p, at) :: rest when p = proc && at <= time ->
-        Some (List.rev_append acc rest)
-    | entry :: rest -> take (entry :: acc) rest
-  in
-  match take [] t.forced with
+  match take_forced ~proc ~time [] t.forced with
   | Some rest ->
       t.forced <- rest;
       true

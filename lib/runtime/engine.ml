@@ -65,11 +65,48 @@ type t = {
       (* (processor, label) per parked waiter — deadlock diagnostics *)
   mutable phases : phase_mark list; (* newest first *)
   mutable finished : bool;
+  (* the payload of the effect being dispatched, parked by the handler
+     for its prebuilt arm (see [make_handler]) *)
+  mutable e_site : Site.t;
+  mutable e_gptr : Gptr.t;
+  mutable e_field : int;
+  mutable e_value : Value.t;
+  mutable e_body : unit -> Value.t;
+  mutable e_psite : Site.t option;
+  mutable e_cell : fut;
+  mutable e_target : int;
 }
 
 (* Placeholder until [create] installs the engine's own handler. *)
 let no_handler : (unit, unit) Effect.Deep.handler =
   { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
+
+(* Placeholders for the parked effect payload between dispatches; never
+   read as payload.  The site is not registered with [Site]. *)
+let no_site =
+  {
+    Site.sid = -1;
+    sname = "";
+    mech = C.Migrate;
+    loads = 0;
+    stores = 0;
+    remote = 0;
+    migrations = 0;
+    misses = 0;
+    retries = 0;
+    fallbacks = 0;
+  }
+
+let no_body () = Value.Nil
+
+let no_cell =
+  {
+    fid = -1;
+    state = Done Value.Nil;
+    resolver_proc = -1;
+    resolver_seat = -1;
+    resolver_log = None;
+  }
 
 let create_state cfg =
   let machine = Machine.create cfg in
@@ -109,6 +146,14 @@ let create_state cfg =
     parked = [];
     phases = [];
     finished = false;
+    e_site = no_site;
+    e_gptr = Gptr.null;
+    e_field = 0;
+    e_value = Value.Nil;
+    e_body = no_body;
+    e_psite = None;
+    e_cell = no_cell;
+    e_target = 0;
   }
 
 let memory t = t.memory
@@ -647,15 +692,16 @@ let fast_touch cell = immediate_touch (engine ()) cell
 let try_migrate t ~(site : Site.t) ~home =
   let s = stats t in
   let retries_before = s.Stats.retries in
-  let outcome =
+  match
     Machine.thread_delivery t.machine ~dst:home ~klass:Fault_plan.Migration
       ~send_time:(now t)
       ~give_up_after:t.migrate_attempts
-  in
-  site.Site.retries <- site.Site.retries + s.Stats.retries - retries_before;
-  match outcome with
-  | Machine.Delivered { penalty } -> penalty
-  | Machine.Gave_up { penalty; attempts } ->
+  with
+  | penalty ->
+      site.Site.retries <- site.Site.retries + s.Stats.retries - retries_before;
+      penalty
+  | exception Machine.Gave_up { penalty; attempts } ->
+      site.Site.retries <- site.Site.retries + s.Stats.retries - retries_before;
       s.Stats.migration_fallbacks <- s.Stats.migration_fallbacks + 1;
       site.Site.fallbacks <- site.Site.fallbacks + 1;
       Machine.stall t.machine t.cur_proc penalty;
@@ -669,11 +715,318 @@ let try_migrate t ~(site : Site.t) ~home =
       end;
       -1
 
-(* The effect handler, built once per engine by [create] (every
-   futurecall, [exec] and [inject] installs this same record). *)
+(* --- The effect handler ---------------------------------------------
+
+   Built once per engine by [create]: every futurecall, [exec] and
+   [inject] installs the same record, and each arm below that can be
+   performed inside an engine is one closure built with it.  [effc]
+   parks the effect's payload in the engine's [e_*] fields and returns
+   the prebuilt arm, so dispatching an effect allocates nothing.  An arm
+   reads the payload before doing anything else: a futurecall's body, or
+   a migration's completion, performs effects of its own that overwrite
+   the fields. *)
+
+let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
+  let site = t.e_site and g = t.e_gptr and field = t.e_field in
+  let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
+  match immediate_load t site g field with
+  | v -> Effect.Deep.continue k v
+  | exception Must_perform -> (
+      (* the reference must migrate: only here is the fiber captured *)
+      let c = costs t in
+      let home = Gptr.proc g in
+      if Span.is_on () && not (Span.root_open ()) then
+        Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+      advance t c.C.pointer_test;
+      let penalty = try_migrate t ~site ~home in
+      if penalty >= 0 then begin
+        site.Site.loads <- site.Site.loads + 1;
+        site.Site.remote <- site.Site.remote + 1;
+        site.Site.migrations <- site.Site.migrations + 1;
+        migrate_to t ~site:site.Site.sid
+          ~target:(Machine.home_of t.machine home) ~vseat:home ~penalty ~ep0
+          ~k
+          ~complete:(fun () ->
+            (* re-resolve: the home may have failed over while the state
+               was in flight *)
+            Machine.advance t.machine (Machine.home_of t.machine home)
+              c.C.local_ref;
+            Memory.load t.memory g field)
+      end
+      else begin
+        let sp = Span.is_on () in
+        let prev = if sp then Span.parent () else -1 in
+        let cid = if sp then Span.enter () else -1 in
+        let cs0 = now t in
+        let v = cached_load t site g field in
+        if sp then
+          Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
+            ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
+        if Monitor.is_on () then
+          Monitor.deref ~sid:site.Site.sid ~mech:Monitor.Fallback
+            ~cycles:(now t - ep0);
+        if sp then
+          Span.close_root ~t1:(now t) ~a:site.Site.sid
+            ~b:3 (* mech code: fallback *);
+        Effect.Deep.continue k v
+      end)
+
+let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
+  let site = t.e_site and g = t.e_gptr and field = t.e_field in
+  let v = t.e_value in
+  let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
+  match immediate_store t site g field v with
+  | () -> Effect.Deep.continue k ()
+  | exception Must_perform -> (
+      let c = costs t in
+      let home = Gptr.proc g in
+      if Span.is_on () && not (Span.root_open ()) then
+        Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+      advance t c.C.pointer_test;
+      let penalty = try_migrate t ~site ~home in
+      if penalty >= 0 then begin
+        site.Site.stores <- site.Site.stores + 1;
+        site.Site.remote <- site.Site.remote + 1;
+        site.Site.migrations <- site.Site.migrations + 1;
+        migrate_to t ~site:site.Site.sid
+          ~target:(Machine.home_of t.machine home) ~vseat:home ~penalty ~ep0
+          ~k
+          ~complete:(fun () ->
+            let h = Machine.home_of t.machine home in
+            Machine.advance t.machine h c.C.local_ref;
+            Memory.store t.memory g field v;
+            Cache.note_migrate_write t.cache ~proc:h g ~field v
+              ~log:t.cur_thread.log)
+      end
+      else begin
+        let sp = Span.is_on () in
+        let prev = if sp then Span.parent () else -1 in
+        let cid = if sp then Span.enter () else -1 in
+        let cs0 = now t in
+        cached_store t site g field v;
+        if sp then
+          Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
+            ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
+        if Monitor.is_on () then
+          Monitor.deref ~sid:site.Site.sid ~mech:Monitor.Fallback
+            ~cycles:(now t - ep0);
+        if sp then
+          Span.close_root ~t1:(now t) ~a:site.Site.sid
+            ~b:3 (* mech code: fallback *);
+        Effect.Deep.continue k ()
+      end)
+
+let future_arm t (k : (fut, unit) Effect.Deep.continuation) =
+  let body = t.e_body in
+  t.e_body <- no_body;
+  let c = costs t in
+  let s = stats t in
+  s.Stats.futures <- s.Stats.futures + 1;
+  advance t c.C.future_spawn;
+  t.next_fid <- t.next_fid + 1;
+  let cell =
+    {
+      fid = t.next_fid;
+      state = Pending [];
+      resolver_proc = -1;
+      resolver_seat = -1;
+      resolver_log = None;
+    }
+  in
+  if t.cfg.C.trace then
+    trace t (fun () -> Printf.sprintf "future fut#%d spawned" cell.fid);
+  if Trace.is_on () then emit t (Trace.Future_spawn { fid = cell.fid });
+  (* Save the return continuation on this processor's work list.  If it
+     is stolen it becomes a new thread (with a fresh write log); if the
+     body completes without migrating, the processor pops it right back
+     — Olden's cheap no-migration path. *)
+  push_work t (new_thread t) k cell;
+  (* The body is evaluated directly by the current thread, as Olden's
+     futurecall does; only a migration during it hands control back to
+     the scheduler. *)
+  Effect.Deep.match_with
+    (fun () ->
+      let v = body () in
+      resolve t cell v)
+    () t.handler
+
+let touch_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
+  let psite = t.e_psite and cell = t.e_cell in
+  t.e_psite <- None;
+  t.e_cell <- no_cell;
+  match immediate_touch t cell with
+  | v -> Effect.Deep.continue k v
+  | exception Must_perform -> (
+      match cell.state with
+      | Done _ -> assert false
+      | Pending waiters ->
+          let c = costs t in
+          let s = stats t in
+          s.Stats.touches <- s.Stats.touches + 1;
+          advance t c.C.future_touch;
+          if t.cfg.C.trace then
+            trace t (fun () -> Printf.sprintf "touch fut#%d: park" cell.fid);
+          if Trace.is_on () then
+            emit t (Trace.Future_touch { fid = cell.fid; parked = true });
+          let label =
+            match psite with
+            | Some site -> Site.name site
+            | None -> Printf.sprintf "fut#%d" cell.fid
+          in
+          t.blocked <- t.blocked + 1;
+          t.parked <- (t.cur_proc, label) :: t.parked;
+          cell.state <-
+            Pending
+              ({ wk = k; wproc = t.cur_proc; wthread = t.cur_thread;
+                 wlabel = label }
+              :: waiters))
+
+let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
+  (* the origin may have fail-stopped while the thread was away; its
+     promoted successor adopts the continuation *)
+  let origin = t.e_target in
+  let target = Machine.home_of t.machine origin in
+  if target = t.cur_proc then begin
+    (if t.cur_thread.seat <> origin then begin
+       (* the return collapsed onto this processor through a failover:
+          still a release at the (virtual) source and the origin's
+          return-side acquire *)
+       Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:t.cur_thread.log;
+       Cache.on_return_received t.cache ~proc:t.cur_proc
+         ~log:t.cur_thread.log;
+       t.cur_thread.seat <- origin
+     end);
+    Effect.Deep.continue k ()
+  end
+  else begin
+    let c = costs t in
+    let s = stats t in
+    let sp = Span.is_on () in
+    let ep0 = if Monitor.is_on () || sp then now t else 0 in
+    s.Stats.returns <- s.Stats.returns + 1;
+    let thread = t.cur_thread in
+    let source = t.cur_proc in
+    (* a return stub is its own episode: a fresh root whose children are
+       its send/wire/penalty/queue/replay/recv hops and any fault events
+       along the way *)
+    if sp && not (Span.root_open ()) then
+      Span.open_root ~kind:Span.Return ~proc:source ~t0:ep0;
+    (* a return is also a release point *)
+    Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:thread.log;
+    advance t c.C.return_send;
+    if Trace.is_on () then emit t (Trace.Return_send { target });
+    Machine.count_bytes t.machine 64 (* registers + return addr *);
+    (* a return stub must reach its origin: retry without an attempt
+       bound (only [max_attempts] backstops it) *)
+    let penalty =
+      Machine.thread_delivery t.machine ~dst:target ~klass:Fault_plan.Return
+        ~send_time:(now t) ~give_up_after:None
+    in
+    let send_done = now t in
+    let ready_at = send_done + c.C.net_latency + penalty in
+    let sctx =
+      if sp then begin
+        Span.child ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done
+          ~a:target ~b:0;
+        Span.child ~kind:Span.Wire ~proc:source ~t0:send_done
+          ~t1:(send_done + c.C.net_latency) ~a:0 ~b:0;
+        if penalty > 0 then
+          Span.child ~kind:Span.Penalty ~proc:target
+            ~t0:(send_done + c.C.net_latency) ~t1:ready_at ~a:penalty ~b:0;
+        Span.save ()
+      end
+      else Span.no_ctx
+    in
+    schedule_event t ~proc:target ~ready_at
+      {
+        thread;
+        go =
+          (fun () ->
+            (* not the captured target: if it fail-stopped while the stub
+               was in flight the event was re-homed and runs on the
+               successor's clock *)
+            let target = t.cur_proc in
+            let span_on = Span.is_on () in
+            let t_arr = Machine.now t.machine target in
+            if span_on then begin
+              Span.restore sctx;
+              if t_arr > ready_at then
+                Span.child ~kind:Span.Queue ~proc:target ~t0:ready_at
+                  ~t1:t_arr ~a:0 ~b:0
+            end;
+            check_crash t ~proc:target ~thread;
+            let t_rc = Machine.now t.machine target in
+            if span_on && t_rc > t_arr then
+              Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr ~t1:t_rc
+                ~a:0 ~b:0;
+            Machine.advance t.machine target c.C.return_recv;
+            if Trace.is_on () then
+              Trace.emit
+                { Trace.time = Machine.now t.machine target; proc = target;
+                  tid = thread.tid; site = -1;
+                  kind = Trace.Return_arrive { source } };
+            Cache.on_return_received t.cache ~proc:target ~log:thread.log;
+            (* back at the (virtual) origin, wherever the home map routed
+               the stub *)
+            thread.seat <- origin;
+            if span_on then
+              Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc
+                ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
+            if Monitor.is_on () then
+              Monitor.return_stub ~cycles:(Machine.now t.machine target - ep0);
+            if span_on then
+              Span.close_root ~t1:(Machine.now t.machine target) ~a:target
+                ~b:0;
+            Effect.Deep.continue k ());
+      }
+  end
+
+let phase_arm t name (k : (unit, unit) Effect.Deep.continuation) =
+  (* measurement boundary: all processors synchronize *)
+  let m = Machine.makespan t.machine in
+  for p = 0 to t.cfg.C.nprocs - 1 do
+    Machine.wait_until t.machine p m
+  done;
+  (* the one place a task moves other processors' clocks *)
+  rekey_all t;
+  t.phases <- { pname = name; at = m; snapshot = Stats.copy (stats t) } :: t.phases;
+  if Trace.is_on () then
+    Trace.emit
+      { Trace.time = m; proc = t.cur_proc; tid = t.cur_thread.tid; site = -1;
+        kind = Trace.Phase_mark name };
+  Effect.Deep.continue k ()
+
 let make_handler t : (unit, unit) Effect.Deep.handler =
+  let load = Some (load_arm t) in
+  let store = Some (store_arm t) in
+  let future = Some (future_arm t) in
+  let touch = Some (touch_arm t) in
+  let return = Some (return_arm t) in
   let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
     function
+    | Load (site, g, field) ->
+        t.e_site <- site;
+        t.e_gptr <- g;
+        t.e_field <- field;
+        load
+    | Store (site, g, field, v) ->
+        t.e_site <- site;
+        t.e_gptr <- g;
+        t.e_field <- field;
+        t.e_value <- v;
+        store
+    | Future body ->
+        t.e_body <- body;
+        future
+    | Touch (psite, cell) ->
+        t.e_psite <- psite;
+        t.e_cell <- cell;
+        touch
+    | Return_to target ->
+        t.e_target <- target;
+        return
+    (* [Ops] runs these on the fast path inside an engine; performed,
+       they are rare enough to build their arm per effect *)
     | Work n ->
         Some
           (fun k ->
@@ -682,295 +1035,8 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
     | Self -> Some (fun k -> Effect.Deep.continue k t.cur_thread.seat)
     | Nprocs -> Some (fun k -> Effect.Deep.continue k t.cfg.C.nprocs)
     | Alloc (proc, words) ->
-        Some
-          (fun k -> Effect.Deep.continue k (immediate_alloc t ~proc words))
-    | Load (site, g, field) ->
-        Some
-          (fun k ->
-            let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
-            match immediate_load t site g field with
-            | v -> Effect.Deep.continue k v
-            | exception Must_perform -> (
-                (* the reference must migrate: only here is the fiber
-                   captured *)
-                let c = costs t in
-                let home = Gptr.proc g in
-                if Span.is_on () && not (Span.root_open ()) then
-                  Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
-                advance t c.C.pointer_test;
-                let penalty = try_migrate t ~site ~home in
-                if penalty >= 0 then begin
-                  site.Site.loads <- site.Site.loads + 1;
-                  site.Site.remote <- site.Site.remote + 1;
-                  site.Site.migrations <- site.Site.migrations + 1;
-                  migrate_to t ~site:site.Site.sid
-                    ~target:(Machine.home_of t.machine home) ~vseat:home
-                    ~penalty ~ep0 ~k
-                    ~complete:(fun () ->
-                      (* re-resolve: the home may have failed over
-                         while the state was in flight *)
-                      Machine.advance t.machine
-                        (Machine.home_of t.machine home) c.C.local_ref;
-                      Memory.load t.memory g field)
-                end
-                else begin
-                  let sp = Span.is_on () in
-                  let prev = if sp then Span.parent () else -1 in
-                  let cid = if sp then Span.enter () else -1 in
-                  let cs0 = now t in
-                  let v = cached_load t site g field in
-                  if sp then
-                    Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
-                      ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                  if Monitor.is_on () then
-                    Monitor.deref ~sid:site.Site.sid
-                      ~mech:Monitor.Fallback ~cycles:(now t - ep0);
-                  if sp then
-                    Span.close_root ~t1:(now t) ~a:site.Site.sid
-                      ~b:3 (* mech code: fallback *);
-                  Effect.Deep.continue k v
-                end))
-    | Store (site, g, field, v) ->
-        Some
-          (fun k ->
-            let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
-            match immediate_store t site g field v with
-            | () -> Effect.Deep.continue k ()
-            | exception Must_perform -> (
-                let c = costs t in
-                let home = Gptr.proc g in
-                if Span.is_on () && not (Span.root_open ()) then
-                  Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
-                advance t c.C.pointer_test;
-                let penalty = try_migrate t ~site ~home in
-                if penalty >= 0 then begin
-                  site.Site.stores <- site.Site.stores + 1;
-                  site.Site.remote <- site.Site.remote + 1;
-                  site.Site.migrations <- site.Site.migrations + 1;
-                  migrate_to t ~site:site.Site.sid
-                    ~target:(Machine.home_of t.machine home) ~vseat:home
-                    ~penalty ~ep0 ~k
-                    ~complete:(fun () ->
-                      let h = Machine.home_of t.machine home in
-                      Machine.advance t.machine h c.C.local_ref;
-                      Memory.store t.memory g field v;
-                      Cache.note_migrate_write t.cache ~proc:h g ~field v
-                        ~log:t.cur_thread.log)
-                end
-                else begin
-                  let sp = Span.is_on () in
-                  let prev = if sp then Span.parent () else -1 in
-                  let cid = if sp then Span.enter () else -1 in
-                  let cs0 = now t in
-                  cached_store t site g field v;
-                  if sp then
-                    Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
-                      ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                  if Monitor.is_on () then
-                    Monitor.deref ~sid:site.Site.sid
-                      ~mech:Monitor.Fallback ~cycles:(now t - ep0);
-                  if sp then
-                    Span.close_root ~t1:(now t) ~a:site.Site.sid
-                      ~b:3 (* mech code: fallback *);
-                  Effect.Deep.continue k ()
-                end))
-    | Future body ->
-        Some
-          (fun k ->
-            let c = costs t in
-            let s = stats t in
-            s.Stats.futures <- s.Stats.futures + 1;
-            advance t c.C.future_spawn;
-            t.next_fid <- t.next_fid + 1;
-            let cell =
-              {
-                fid = t.next_fid;
-                state = Pending [];
-                resolver_proc = -1;
-                resolver_seat = -1;
-                resolver_log = None;
-              }
-            in
-            if t.cfg.C.trace then
-              trace t (fun () ->
-                  Printf.sprintf "future fut#%d spawned" cell.fid);
-            if Trace.is_on () then
-              emit t (Trace.Future_spawn { fid = cell.fid });
-            (* Save the return continuation on this processor's work list.
-               If it is stolen it becomes a new thread (with a fresh write
-               log); if the body completes without migrating, the processor
-               pops it right back — Olden's cheap no-migration path. *)
-            push_work t (new_thread t) k cell;
-            (* The body is evaluated directly by the current thread, as
-               Olden's futurecall does; only a migration during it hands
-               control back to the scheduler. *)
-            Effect.Deep.match_with
-              (fun () ->
-                let v = body () in
-                resolve t cell v)
-              () t.handler)
-    | Touch (psite, cell) ->
-        Some
-          (fun k ->
-            match immediate_touch t cell with
-            | v -> Effect.Deep.continue k v
-            | exception Must_perform -> (
-                match cell.state with
-                | Done _ -> assert false
-                | Pending waiters ->
-                    let c = costs t in
-                    let s = stats t in
-                    s.Stats.touches <- s.Stats.touches + 1;
-                    advance t c.C.future_touch;
-                    if t.cfg.C.trace then
-                      trace t (fun () ->
-                          Printf.sprintf "touch fut#%d: park" cell.fid);
-                    if Trace.is_on () then
-                      emit t
-                        (Trace.Future_touch { fid = cell.fid; parked = true });
-                    let label =
-                      match psite with
-                      | Some site -> Site.name site
-                      | None -> Printf.sprintf "fut#%d" cell.fid
-                    in
-                    t.blocked <- t.blocked + 1;
-                    t.parked <- (t.cur_proc, label) :: t.parked;
-                    cell.state <-
-                      Pending
-                        ({ wk = k; wproc = t.cur_proc; wthread = t.cur_thread;
-                           wlabel = label }
-                        :: waiters)))
-    | Return_to target ->
-        Some
-          (fun k ->
-            (* the origin may have fail-stopped while the thread was
-               away; its promoted successor adopts the continuation *)
-            let origin = target in
-            let target = Machine.home_of t.machine origin in
-            if target = t.cur_proc then begin
-              (if t.cur_thread.seat <> origin then begin
-                 (* the return collapsed onto this processor through a
-                    failover: still a release at the (virtual) source
-                    and the origin's return-side acquire *)
-                 Cache.on_migration_sent t.cache ~proc:t.cur_proc
-                   ~log:t.cur_thread.log;
-                 Cache.on_return_received t.cache ~proc:t.cur_proc
-                   ~log:t.cur_thread.log;
-                 t.cur_thread.seat <- origin
-               end);
-              Effect.Deep.continue k ()
-            end
-            else begin
-              let c = costs t in
-              let s = stats t in
-              let sp = Span.is_on () in
-              let ep0 = if Monitor.is_on () || sp then now t else 0 in
-              s.Stats.returns <- s.Stats.returns + 1;
-              let thread = t.cur_thread in
-              let source = t.cur_proc in
-              (* a return stub is its own episode: a fresh root whose
-                 children are its send/wire/penalty/queue/replay/recv
-                 hops and any fault events along the way *)
-              if sp && not (Span.root_open ()) then
-                Span.open_root ~kind:Span.Return ~proc:source ~t0:ep0;
-              (* a return is also a release point *)
-              Cache.on_migration_sent t.cache ~proc:t.cur_proc
-                ~log:thread.log;
-              advance t c.C.return_send;
-              if Trace.is_on () then emit t (Trace.Return_send { target });
-              Machine.count_bytes t.machine 64 (* registers + return addr *);
-              (* a return stub must reach its origin: retry without an
-                 attempt bound (only [max_attempts] backstops it) *)
-              let penalty =
-                match
-                  Machine.thread_delivery t.machine ~dst:target
-                    ~klass:Fault_plan.Return ~send_time:(now t)
-                    ~give_up_after:None
-                with
-                | Machine.Delivered { penalty } -> penalty
-                | Machine.Gave_up _ -> assert false
-              in
-              let send_done = now t in
-              let ready_at = send_done + c.C.net_latency + penalty in
-              let sctx =
-                if sp then begin
-                  Span.child ~kind:Span.Send ~proc:source ~t0:ep0
-                    ~t1:send_done ~a:target ~b:0;
-                  Span.child ~kind:Span.Wire ~proc:source ~t0:send_done
-                    ~t1:(send_done + c.C.net_latency) ~a:0 ~b:0;
-                  if penalty > 0 then
-                    Span.child ~kind:Span.Penalty ~proc:target
-                      ~t0:(send_done + c.C.net_latency) ~t1:ready_at
-                      ~a:penalty ~b:0;
-                  Span.save ()
-                end
-                else Span.no_ctx
-              in
-              schedule_event t ~proc:target ~ready_at
-                {
-                  thread;
-                  go =
-                    (fun () ->
-                      (* not the captured target: if it fail-stopped
-                         while the stub was in flight the event was
-                         re-homed and runs on the successor's clock *)
-                      let target = t.cur_proc in
-                      let span_on = Span.is_on () in
-                      let t_arr = Machine.now t.machine target in
-                      if span_on then begin
-                        Span.restore sctx;
-                        if t_arr > ready_at then
-                          Span.child ~kind:Span.Queue ~proc:target
-                            ~t0:ready_at ~t1:t_arr ~a:0 ~b:0
-                      end;
-                      check_crash t ~proc:target ~thread;
-                      let t_rc = Machine.now t.machine target in
-                      if span_on && t_rc > t_arr then
-                        Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr
-                          ~t1:t_rc ~a:0 ~b:0;
-                      Machine.advance t.machine target c.C.return_recv;
-                      if Trace.is_on () then
-                        Trace.emit
-                          { Trace.time = Machine.now t.machine target;
-                            proc = target; tid = thread.tid; site = -1;
-                            kind = Trace.Return_arrive { source } };
-                      Cache.on_return_received t.cache ~proc:target
-                        ~log:thread.log;
-                      (* back at the (virtual) origin, wherever the home
-                         map routed the stub *)
-                      thread.seat <- origin;
-                      if span_on then
-                        Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc
-                          ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
-                      if Monitor.is_on () then
-                        Monitor.return_stub
-                          ~cycles:(Machine.now t.machine target - ep0);
-                      if span_on then
-                        Span.close_root
-                          ~t1:(Machine.now t.machine target)
-                          ~a:target ~b:0;
-                      Effect.Deep.continue k ());
-                }
-            end)
-    | Phase name ->
-        Some
-          (fun k ->
-            (* measurement boundary: all processors synchronize *)
-            let m = Machine.makespan t.machine in
-            for p = 0 to t.cfg.C.nprocs - 1 do
-              Machine.wait_until t.machine p m
-            done;
-            (* the one place a task moves other processors' clocks *)
-            rekey_all t;
-            t.phases <-
-              { pname = name; at = m; snapshot = Stats.copy (stats t) }
-              :: t.phases;
-            if Trace.is_on () then
-              Trace.emit
-                { Trace.time = m; proc = t.cur_proc;
-                  tid = t.cur_thread.tid; site = -1;
-                  kind = Trace.Phase_mark name };
-            Effect.Deep.continue k ())
+        Some (fun k -> Effect.Deep.continue k (immediate_alloc t ~proc words))
+    | Phase name -> Some (phase_arm t name)
     | _ -> None
   in
   { retc = Fun.id; exnc = raise; effc }

@@ -69,13 +69,13 @@ let histogram t ?(labels = []) name =
       Hashtbl.add t.table key (Histogram h);
       h
 
-let bucket_of v =
-  let v = max 0 v in
-  let rec go i bound =
-    if v <= bound || i = buckets_count - 1 then i
-    else go (i + 1) ((2 * bound) + 1)
-  in
-  go 0 0
+(* Top-level so that [observe] allocates nothing: a local loop closing
+   over [v] would cost a closure per observation. *)
+let rec bucket_from v i bound =
+  if v <= bound || i = buckets_count - 1 then i
+  else bucket_from v (i + 1) ((2 * bound) + 1)
+
+let bucket_of v = bucket_from (max 0 v) 0 0
 
 let observe h v =
   h.observations <- h.observations + 1;

@@ -1,0 +1,365 @@
+(* Allocation budgets of the hooks on the dereference and migration path.
+
+   Every hook a load, a store or a migration can run under the monitor,
+   the flight recorder, a fault schedule or a releasing coherence scheme
+   allocates nothing; a migration round trip and a futurecall stay under
+   fixed word ceilings.  The write log's sorted dirty-page array and the
+   monitor's exemplar fast path are checked against the simple models
+   they replaced. *)
+
+open Olden
+module C = Config
+module G = Config.Geometry
+
+let check = Alcotest.check
+let bool = Alcotest.bool
+
+(* Minor words allocated by [f ()], after one warm-up call. *)
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let calls = 10_000
+
+let zero name f =
+  check (Alcotest.float 0.) (name ^ ": no minor words") 0. (minor_words f)
+
+let crash_mix = C.Faults.crash_mix ~seed:42 ()
+
+(* A monitor whose windows never close during a test. *)
+let quiet_monitor () =
+  Monitor.create ~interval:max_int ~nprocs:8
+    ~probe:
+      {
+        Monitor.stats = (fun () -> []);
+        busy = (fun () -> Array.make 8 0);
+        comm = (fun () -> Array.make 8 0);
+        recovery_stall = (fun () -> Array.make 8 0);
+      }
+
+let with_hooks ~monitor ~flight f =
+  if monitor then Monitor.install (quiet_monitor ());
+  if flight then Span.flight_enable ();
+  Fun.protect f ~finally:(fun () ->
+      if monitor then Monitor.uninstall ();
+      if flight then Span.flight_disable ())
+
+(* --- Zero-allocation hooks ------------------------------------------- *)
+
+let test_observe () =
+  let h = Metrics.histogram (Metrics.create ()) "x" in
+  zero "Metrics.observe" (fun () ->
+      for i = 1 to calls do
+        Metrics.observe h ((i * 7919) land 0xfffff)
+      done)
+
+(* With the flight recorder on, an open root gives every dereference a
+   trace id, so each one goes through the exemplar table: the warm-up
+   call fills its slots, and rising latencies then displace a held
+   exemplar at every call. *)
+let test_monitor_hooks () =
+  List.iter
+    (fun flight ->
+      let mode = if flight then "flight recorder on" else "flight recorder off" in
+      with_hooks ~monitor:true ~flight (fun () ->
+          Span.reset ();
+          if flight then Span.open_root ~kind:Span.Deref ~proc:0 ~t0:0;
+          let base = ref 0 in
+          zero ("Monitor.deref, " ^ mode) (fun () ->
+              for i = 1 to calls do
+                Monitor.deref ~sid:(i land 15) ~mech:Monitor.Cache
+                  ~cycles:(i land 1023);
+                Monitor.deref ~sid:(i land 15) ~mech:Monitor.Migrate
+                  ~cycles:(!base + i)
+              done;
+              base := !base + calls);
+          zero ("Monitor.migration, " ^ mode) (fun () ->
+              for i = 1 to calls do
+                Monitor.migration ~cycles:i
+              done);
+          zero ("Monitor.request, " ^ mode) (fun () ->
+              for i = 1 to calls do
+                Monitor.request ~klass:"point" ~cycles:i
+              done);
+          Span.clear ()))
+    [ false; true ]
+
+(* The crash check at every operation boundary, across fresh crash
+   windows, under a schedule whose crashes are vanishingly rare. *)
+let test_maybe_crash () =
+  let cfg =
+    C.make ~nprocs:8 ~faults:(C.Faults.crash_mix ~p:1e-12 ~seed:42 ()) ()
+  in
+  let engine = Engine.create cfg in
+  let machine = Engine.machine engine in
+  let r = Option.get (Engine.recovery engine) in
+  let log = Write_log.create () in
+  zero "Recovery.maybe_crash" (fun () ->
+      for i = 1 to calls do
+        Machine.advance machine (i land 7) 1000;
+        ignore (Sys.opaque_identity (Recovery.maybe_crash r ~proc:(i land 7) ~log))
+      done);
+  check Alcotest.int "no crash fired" 0 (Recovery.total_crashes r)
+
+(* A release with a clean log and with one dirty page whose lines other
+   processors cache (global: every sharer is invalidated; bilateral: the
+   home is stamped). *)
+let test_release coherence name =
+  let cfg = C.make ~nprocs:8 ~coherence () in
+  let machine = Machine.create cfg in
+  let mem = Memory.create ~nprocs:8 in
+  let cs = Cache_system.create cfg machine mem in
+  let region = Memory.alloc mem ~proc:1 G.words_per_page in
+  (* the cache layer's page id: home in the bits above 16 *)
+  let gpage = (1 lsl 16) lor G.page_of_word (Gptr.addr region) in
+  let log = Write_log.create () in
+  zero (name ^ " release, clean log") (fun () ->
+      for _ = 1 to calls do
+        Cache_system.on_migration_sent cs ~proc:0 ~log
+      done);
+  for p = 2 to 5 do
+    ignore (Cache_system.read cs ~proc:p region ~field:0)
+  done;
+  let stats = Machine.stats machine in
+  let sent = stats.Stats.invalidation_messages in
+  zero (name ^ " release, one dirty page") (fun () ->
+      for i = 1 to calls do
+        Write_log.record log ~gpage ~line:(i land 7) ~home:1;
+        Cache_system.on_migration_sent cs ~proc:0 ~log
+      done);
+  (* global: one per sharer (processors 2 to 5); bilateral: one to the
+     home *)
+  let per_release = if coherence = C.Global then 4 else 1 in
+  check Alcotest.int (name ^ ": invalidations sent")
+    (2 * calls * per_release)
+    (stats.Stats.invalidation_messages - sent)
+
+let test_release_global () = test_release C.Global "global"
+let test_release_bilateral () = test_release C.Bilateral "bilateral"
+
+let test_request_reply () =
+  let machine = Machine.create (C.make ~nprocs:8 ~faults:crash_mix ()) in
+  with_hooks ~monitor:false ~flight:true (fun () ->
+      zero "request_reply with spans on" (fun () ->
+          for i = 1 to calls do
+            ignore
+              (Sys.opaque_identity
+                 (Machine.request_reply machine ~src:0 ~dst:(1 + (i land 3))
+                    ~service:20))
+          done));
+  check bool "faults hit the round trips" true
+    ((Machine.stats machine).Stats.retries > 0)
+
+let test_thread_delivery () =
+  let machine = Machine.create (C.make ~nprocs:8 ~faults:crash_mix ()) in
+  let late = ref 0 in
+  zero "thread_delivery" (fun () ->
+      for i = 1 to calls do
+        let penalty =
+          Machine.thread_delivery machine ~dst:(i land 7)
+            ~klass:Fault_plan.Migration ~send_time:(i * 100)
+            ~give_up_after:None
+        in
+        if penalty > 0 then incr late
+      done);
+  check bool "some transfers arrived late" true (!late > 0)
+
+(* --- Ceilings inside an engine ---------------------------------------- *)
+
+(* [Ops.call] around a load through a migrate site homed on processor 1:
+   a migration there and a return stub back, per call; then plain loads
+   of processor 0's own memory through a migrate site. *)
+let round_trip cfg =
+  let rt = Site.migrate "alloc.round_trip" in
+  let local = Site.migrate "alloc.local" in
+  let trip = ref 0. and load = ref 0. in
+  let report =
+    Engine.run cfg (fun () ->
+        let remote = Ops.alloc ~proc:1 4 in
+        let own = Ops.alloc ~proc:0 4 in
+        let f () = Ops.load rt remote 0 in
+        trip :=
+          minor_words (fun () ->
+              for _ = 1 to calls do
+                ignore (Sys.opaque_identity (Ops.call f))
+              done);
+        load :=
+          minor_words (fun () ->
+              for _ = 1 to calls do
+                ignore (Sys.opaque_identity (Ops.load local own 0))
+              done))
+  in
+  check Alcotest.int "every call migrated" (2 * calls)
+    report.Engine.stats.Stats.migrations;
+  (!trip /. float_of_int calls, !load /. float_of_int calls)
+
+let ceiling name ~limit words =
+  check bool
+    (Printf.sprintf "%s allocates at most %.0f words (got %.1f)" name limit
+       words)
+    true (words <= limit)
+
+let test_round_trip_plain () =
+  let trip, load = round_trip (C.make ~nprocs:8 ()) in
+  ceiling "round trip, no hooks" ~limit:60. trip;
+  ceiling "local migrate-site load, no hooks" ~limit:0. load
+
+(* The serving workload's configuration: crashes and message faults,
+   bilateral coherence, the monitor and the flight recorder. *)
+let test_round_trip_serving () =
+  let cfg = C.make ~nprocs:8 ~coherence:C.Bilateral ~faults:crash_mix () in
+  let trip, load =
+    with_hooks ~monitor:true ~flight:true (fun () -> round_trip cfg)
+  in
+  ceiling "round trip, serving configuration" ~limit:100. trip;
+  ceiling "local migrate-site load, serving configuration" ~limit:0. load
+
+(* --- Differentials against the replaced structures -------------------- *)
+
+module IntMap = Map.Make (Int)
+
+(* Random write and release sequences over up to 40 pages (so the
+   dirty-page array grows past its first 8 pairs and inserts shift
+   entries), against a map from page to line mask. *)
+type log_op = Record of int * int * int | Clear
+
+let gen_log_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 300)
+      (frequency
+         [
+           ( 20,
+             map3
+               (fun page line home -> Record (page, line, home))
+               (int_range 0 39) (int_range 0 7) (int_range 0 15) );
+           (1, return Clear);
+         ]))
+
+let print_log_op = function
+  | Record (p, l, h) -> Printf.sprintf "record %d/%d@%d" p l h
+  | Clear -> "clear"
+
+let write_log_agrees ops =
+  let log = Write_log.create () in
+  let model = ref IntMap.empty and written = ref 0 in
+  let agree () =
+    let pages = IntMap.bindings !model in
+    Write_log.dirty_pages log = pages
+    && Write_log.dirty_count log = List.length pages
+    && List.for_all2
+         (fun i (p, m) -> Write_log.dirty_page log i = p && Write_log.dirty_mask log i = m)
+         (List.init (List.length pages) Fun.id)
+         pages
+    && Write_log.line_count log
+       = List.fold_left (fun n (_, m) -> n + C.popcount m) 0 pages
+    && Write_log.is_empty log = (pages = [])
+    && Write_log.written_mask log = !written
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Record (page, line, home) ->
+          (* page ids spread over homes, as global page ids are *)
+          let gpage = ((page mod 5) lsl 16) lor (page * 37) in
+          Write_log.record log ~gpage ~line ~home;
+          model :=
+            IntMap.update gpage
+              (fun m -> Some (Option.value m ~default:0 lor (1 lsl line)))
+              !model;
+          written := !written lor (1 lsl home)
+      | Clear ->
+          Write_log.clear_dirty log;
+          model := IntMap.empty);
+      agree ())
+    ops
+
+let prop_write_log =
+  QCheck.Test.make ~name:"write log = page map over record/clear sequences"
+    ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_log_op) gen_log_ops)
+    write_log_agrees
+
+(* The exemplar table as it was kept before the cached minimum slot: when
+   full, scan all 16 slots for the first smallest and displace it if the
+   new episode is strictly worse. *)
+module Scan_exemplars = struct
+  let slots = 16
+
+  type t = { mutable n : int; cy : int array; tp : int array; ts : int array }
+
+  let create () =
+    { n = 0; cy = Array.make slots 0; tp = Array.make slots 0; ts = Array.make slots 0 }
+
+  let note t ~cycles ~tp ~ts =
+    if t.n < slots then begin
+      t.cy.(t.n) <- cycles;
+      t.tp.(t.n) <- tp;
+      t.ts.(t.n) <- ts;
+      t.n <- t.n + 1
+    end
+    else begin
+      let worst = ref 0 in
+      for i = 1 to t.n - 1 do
+        if t.cy.(i) < t.cy.(!worst) then worst := i
+      done;
+      if cycles > t.cy.(!worst) then begin
+        t.cy.(!worst) <- cycles;
+        t.tp.(!worst) <- tp;
+        t.ts.(!worst) <- ts
+      end
+    end
+
+  let held t = Array.init t.n (fun i -> (t.cy.(i), t.tp.(i), t.ts.(i)))
+end
+
+(* Latencies from a small range, so ties among held exemplars and with
+   the newcomer are common. *)
+let exemplars_agree episodes =
+  with_hooks ~monitor:false ~flight:true (fun () ->
+      Span.reset ();
+      let m = quiet_monitor () in
+      Monitor.install m;
+      Fun.protect ~finally:Monitor.uninstall (fun () ->
+          let reference = Scan_exemplars.create () in
+          List.for_all
+            (fun (proc, cycles) ->
+              Span.open_root ~kind:Span.Deref ~proc ~t0:0;
+              let tp = Span.trace_proc () and ts = Span.trace_seq () in
+              Monitor.deref ~sid:(-1) ~mech:Monitor.Migrate ~cycles;
+              Span.clear ();
+              Scan_exemplars.note reference ~cycles ~tp ~ts;
+              Monitor.held_exemplars m Monitor.Migrate
+              = Scan_exemplars.held reference)
+            episodes))
+
+let prop_exemplars =
+  QCheck.Test.make ~name:"exemplar slots = the 16-slot scan, ties included"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 200) (pair (int_range 0 7) (int_range 0 40)))
+    exemplars_agree
+
+let suite =
+  [
+    Alcotest.test_case "Metrics.observe allocates nothing" `Quick test_observe;
+    Alcotest.test_case "monitor hooks allocate nothing, flight recorder on/off"
+      `Quick test_monitor_hooks;
+    Alcotest.test_case "maybe_crash with no crash due allocates nothing" `Quick
+      test_maybe_crash;
+    Alcotest.test_case "global release allocates nothing" `Quick
+      test_release_global;
+    Alcotest.test_case "bilateral release allocates nothing" `Quick
+      test_release_bilateral;
+    Alcotest.test_case "request_reply with spans under faults allocates nothing"
+      `Quick test_request_reply;
+    Alcotest.test_case "thread_delivery under faults allocates nothing" `Quick
+      test_thread_delivery;
+    Alcotest.test_case "round trip within 60 words, local load 0" `Quick
+      test_round_trip_plain;
+    Alcotest.test_case "serving configuration: round trip within 100 words, local load 0"
+      `Quick test_round_trip_serving;
+    QCheck_alcotest.to_alcotest prop_write_log;
+    QCheck_alcotest.to_alcotest prop_exemplars;
+  ]

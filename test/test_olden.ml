@@ -21,4 +21,5 @@ let () =
       ("domains", Test_domains.suite);
       ("serving", Test_serving.suite);
       ("scheduler", Test_scheduler.suite);
+      ("alloc", Test_alloc.suite);
     ]

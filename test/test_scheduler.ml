@@ -200,9 +200,9 @@ let test_work_list_allocation_free () =
 
 (* A futurecall whose body does not migrate, then its touch: the cell
    and its result, the parent continuation's thread and write log, the
-   effect and its handler closures, and the fiber's bookkeeping.  Saving
-   and popping the continuation and both scheduler steps allocate
-   nothing. *)
+   effect and the body's fiber.  Dispatching the effect to its prebuilt
+   arm, saving and popping the continuation and both scheduler steps
+   allocate nothing. *)
 let test_future_touch_budget () =
   let v = Value.Int 1 in
   let body () = v in
@@ -216,9 +216,9 @@ let test_future_touch_budget () =
                done)));
   let per_call = !words /. float_of_int calls in
   check bool
-    (Printf.sprintf "future + touch allocates at most 48 words (got %.1f)"
+    (Printf.sprintf "future + touch allocates at most 40 words (got %.1f)"
        per_call)
-    true (per_call <= 48.)
+    true (per_call <= 40.)
 
 (* --- The engine keeps the heap exact ------------------------------------ *)
 
@@ -302,6 +302,6 @@ let suite =
       `Quick test_event_queue_allocation_free;
     Alcotest.test_case "work-list push/pop allocate nothing" `Quick
       test_work_list_allocation_free;
-    Alcotest.test_case "future + touch stays within 48 words" `Quick
+    Alcotest.test_case "future + touch stays within 40 words" `Quick
       test_future_touch_budget;
   ]
