@@ -214,8 +214,6 @@ let note_retry t plan ~dst ~klass ~time ~attempt =
   if Span.is_on () then
     Span.child ~kind:Span.Backoff ~proc:dst ~t0:time ~t1:(time + wait)
       ~a:attempt ~b:wait;
-  if Olden_monitor.Monitor.is_on () then
-    Olden_monitor.Monitor.retry_wait ~cycles:wait;
   wait
 
 (* Deliver one attempt into [dst]'s handler and return the service finish

@@ -1,9 +1,9 @@
 (* Simulated-clock telemetry.  See monitor.mli for the model.
 
-   Layering: this module depends only on olden_trace (Metrics + Json),
-   so the machine, recovery, and runtime layers can all call into it
-   without a dependency cycle; the driver supplies the machine state it
-   samples as a [probe] of closures. *)
+   Layering: this module depends only on olden_trace (Metrics + Json)
+   and olden_span, whose emission feeds the latency histograms; the
+   layers that emit spans never call in here.  The driver supplies the
+   machine state it samples as a [probe] of closures. *)
 
 module Metrics = Olden_trace.Metrics
 module Json = Olden_trace.Json
@@ -47,15 +47,14 @@ type t = {
   recovery_h : Metrics.histogram;
   site_reg : Metrics.t; (* per-site histograms, kept out of window rows *)
   mutable site_h : Metrics.histogram array;
-      (* indexed by sid * 4 + mech_index, so the hot hook reads a slot
-         instead of hashing; [no_site] where unseen *)
+      (* indexed by sid * 4 + mech_index, so the consumer reads a slot
+         instead of hashing; [no_hist] where unseen *)
   req_reg : Metrics.t; (* per-request-class admission→completion latency *)
-  req_h : (string, Metrics.histogram) Hashtbl.t; (* keyed by class label *)
+  mutable req_h : Metrics.histogram array;
+      (* indexed by the request root's class code; [no_hist] where unseen *)
   (* Exemplars: per mechanism, the trace ids of the worst episodes seen,
-     in fixed parallel int arrays so recording stays allocation-free.
-     Populated only while span tracing is on (the trace id is what makes
-     an exemplar useful); filtered against a percentile threshold at
-     report time. *)
+     in fixed parallel int arrays so recording stays allocation-free;
+     filtered against a percentile threshold at report time. *)
   ex_n : int array; (* exemplars held, per mech_index *)
   ex_cy : int array array; (* [mech].(slot) episode cycles *)
   ex_tp : int array array; (* [mech].(slot) trace proc *)
@@ -75,8 +74,9 @@ type t = {
 
 let exemplar_slots = 16
 
-(* Placeholder for site slots never observed; never written. *)
-let no_site = Metrics.histogram (Metrics.create ()) "unused"
+(* Placeholder for site and request slots never observed; never
+   written. *)
+let no_hist = Metrics.histogram (Metrics.create ()) "unused"
 
 let create ~interval ~nprocs ~probe =
   if interval < 1 then invalid_arg "Monitor.create: interval < 1";
@@ -100,7 +100,7 @@ let create ~interval ~nprocs ~probe =
     site_reg = Metrics.create ();
     site_h = [||];
     req_reg = Metrics.create ();
-    req_h = Hashtbl.create 8;
+    req_h = [||];
     ex_n = Array.make 4 0;
     ex_cy = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
     ex_tp = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
@@ -178,14 +178,6 @@ let active_key : t option ref Domain.DLS.key =
 
 let active () = Domain.DLS.get active_key
 
-let install m =
-  let a = active () in
-  (match !a with
-  | Some _ -> invalid_arg "Monitor.install: a monitor is already installed"
-  | None -> ());
-  a := Some m
-
-let uninstall () = active () := None
 let is_on () = match !(active ()) with Some _ -> true | None -> false
 
 (* The first slot holding mechanism [m]'s smallest exemplar. *)
@@ -202,27 +194,32 @@ let min_slot t m =
    when the new episode is strictly worse — deterministic, bounded, and
    allocation-free.  That slot is kept in [ex_min], so an episode that
    displaces nothing costs one comparison. *)
-let note_exemplar t ~mech ~cycles =
-  let m = mech_index mech in
-  let tp = Span.trace_proc () in
-  if tp >= 0 then begin
-    let n = t.ex_n.(m) in
-    if n < exemplar_slots then begin
-      t.ex_cy.(m).(n) <- cycles;
-      t.ex_tp.(m).(n) <- tp;
-      t.ex_ts.(m).(n) <- Span.trace_seq ();
-      t.ex_n.(m) <- n + 1;
-      if n + 1 = exemplar_slots then t.ex_min.(m) <- min_slot t m
+let note_exemplar t ~m ~cycles ~tp ~ts =
+  let n = t.ex_n.(m) in
+  if n < exemplar_slots then begin
+    t.ex_cy.(m).(n) <- cycles;
+    t.ex_tp.(m).(n) <- tp;
+    t.ex_ts.(m).(n) <- ts;
+    t.ex_n.(m) <- n + 1;
+    if n + 1 = exemplar_slots then t.ex_min.(m) <- min_slot t m
+  end
+  else begin
+    let worst = t.ex_min.(m) in
+    if cycles > t.ex_cy.(m).(worst) then begin
+      t.ex_cy.(m).(worst) <- cycles;
+      t.ex_tp.(m).(worst) <- tp;
+      t.ex_ts.(m).(worst) <- ts;
+      t.ex_min.(m) <- min_slot t m
     end
-    else begin
-      let worst = t.ex_min.(m) in
-      if cycles > t.ex_cy.(m).(worst) then begin
-        t.ex_cy.(m).(worst) <- cycles;
-        t.ex_tp.(m).(worst) <- tp;
-        t.ex_ts.(m).(worst) <- Span.trace_seq ();
-        t.ex_min.(m) <- min_slot t m
-      end
-    end
+  end
+
+(* [slots] with room for index [i]. *)
+let grown slots i =
+  if i < Array.length slots then slots
+  else begin
+    let g = Array.make (max 64 (2 * (i + 1))) no_hist in
+    Array.blit slots 0 g 0 (Array.length slots);
+    g
   end
 
 (* The per-site histogram for [key] = sid * 4 + mech_index, created on
@@ -237,76 +234,79 @@ let new_site t ~key =
         ]
       "deref_latency"
   in
-  if key >= Array.length t.site_h then begin
-    let grown = Array.make (max 64 (2 * (key + 1))) no_site in
-    Array.blit t.site_h 0 grown 0 (Array.length t.site_h);
-    t.site_h <- grown
-  end;
+  t.site_h <- grown t.site_h key;
   t.site_h.(key) <- h;
   h
 
-let deref_m t ~sid ~mech ~cycles =
-  Metrics.observe t.deref_h.(mech_index mech) cycles;
-  if Span.is_on () then note_exemplar t ~mech ~cycles;
+(* A [Deref] root closed: one dereference episode, [m] its mechanism
+   code, the root's own trace id its exemplar link. *)
+let deref_m t ~sid ~m ~cycles ~tp ~ts =
+  Metrics.observe t.deref_h.(m) cycles;
+  note_exemplar t ~m ~cycles ~tp ~ts;
   if sid >= 0 then begin
-    let key = (sid * 4) + mech_index mech in
+    let key = (sid * 4) + m in
     let h =
-      if key < Array.length t.site_h && t.site_h.(key) != no_site then
+      if key < Array.length t.site_h && t.site_h.(key) != no_hist then
         t.site_h.(key)
       else new_site t ~key
     in
     Metrics.observe h cycles
   end
 
-let tick time =
-  match !(active ()) with None -> () | Some t -> tick_m t time
-
-let deref ~sid ~mech ~cycles =
-  match !(active ()) with None -> () | Some t -> deref_m t ~sid ~mech ~cycles
-
-let migration ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.migration_h cycles
-
-let return_stub ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.return_h cycles
-
-let retry_wait ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.retry_h cycles
-
-let recovery_stall ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.recovery_h cycles
-
 (* One served request's admission→completion latency, bucketed by its
-   class label.  The histogram registry is separate from the windowed
-   one (like per-site), so batch exports stay byte-identical when no
+   class.  The histogram registry is separate from the windowed one
+   (like per-site), so batch exports stay byte-identical when no
    requests were served. *)
-let request_m t ~klass ~cycles =
+let request_m t ~code ~cycles =
   let h =
-    match Hashtbl.find t.req_h klass with
-    | h -> h
-    | exception Not_found ->
-        let h =
-          Metrics.histogram t.req_reg
-            ~labels:[ ("class", klass) ]
-            "request_latency"
-        in
-        Hashtbl.replace t.req_h klass h;
-        h
+    if code < Array.length t.req_h && t.req_h.(code) != no_hist then
+      t.req_h.(code)
+    else begin
+      let h =
+        Metrics.histogram t.req_reg
+          ~labels:[ ("class", Span.request_class_name code) ]
+          "request_latency"
+      in
+      t.req_h <- grown t.req_h code;
+      t.req_h.(code) <- h;
+      h
+    end
   in
   Metrics.observe h cycles
 
-let request ~klass ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> request_m t ~klass ~cycles
+(* The span consumer: each episode is measured once, where it is
+   emitted, and every latency histogram reads that emission. *)
+let note t ~tp ~ts ~(kind : Span.kind) ~t0 ~t1 ~a ~b =
+  match kind with
+  | Deref -> deref_m t ~sid:a ~m:b ~cycles:(t1 - t0) ~tp ~ts
+  | Recv ->
+      (* under a dereference root, the migrated state restarting at its
+         target: the migration leg, from episode entry *)
+      let r0 = Span.deref_t0 () in
+      if r0 >= 0 then Metrics.observe t.migration_h (t1 - r0)
+  | Return -> Metrics.observe t.return_h (t1 - t0)
+  | Backoff -> Metrics.observe t.retry_h b
+  | Crash | Failover -> Metrics.observe t.recovery_h (t1 - t0)
+  | Request -> request_m t ~code:a ~cycles:(t1 - t0)
+  | Send | Wire | Penalty | Queue | Replay | Service | Cache_service | Stall
+  | Drop | Delay | Dup | Fallback | Rpc ->
+      ()
+
+let install m =
+  let a = active () in
+  (match !a with
+  | Some _ -> invalid_arg "Monitor.install: a monitor is already installed"
+  | None -> ());
+  a := Some m;
+  Span.attach_monitor (fun ~tp ~ts ~kind ~t0 ~t1 ~a ~b ->
+      note m ~tp ~ts ~kind ~t0 ~t1 ~a ~b)
+
+let uninstall () =
+  active () := None;
+  Span.detach_monitor ()
+
+let tick time =
+  match !(active ()) with None -> () | Some t -> tick_m t time
 
 (* --- Latency summaries ------------------------------------------------- *)
 
@@ -354,14 +354,15 @@ let episode_summaries t =
          else Some (name, summarize h))
 
 let request_summaries t =
-  Hashtbl.fold (fun klass h acc -> (klass, h) :: acc) t.req_h []
+  Array.to_list (Array.mapi (fun code h -> (code, h)) t.req_h)
+  |> List.filter (fun (_, h) -> h != no_hist)
+  |> List.map (fun (code, h) -> (Span.request_class_name code, summarize h))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (klass, h) -> (klass, summarize h))
 
 let site_summaries ?(site_names = []) t =
   (* in key order: by sid, then mechanism *)
   Array.to_list (Array.mapi (fun key h -> (key, h)) t.site_h)
-  |> List.filter (fun (_, h) -> h != no_site)
+  |> List.filter (fun (_, h) -> h != no_hist)
   |> List.map (fun (key, h) ->
          let sid = key / 4 in
          let label =
@@ -568,8 +569,8 @@ let csv t =
     ws;
   Buffer.contents buf
 
-(* Latency summaries as CSV: one row per mechanism, episode kind, and
-   (site, mechanism) pair.  Site labels are "field@function" strings
+(* Latency summaries as CSV: one row per mechanism, episode kind,
+   request class, and (site, mechanism) pair.  Site labels are "field@function" strings
    from user programs — always quoted through [Json.csv_field] so
    commas or quotes in a label cannot corrupt the row. *)
 let latency_csv ?site_names t =
@@ -589,8 +590,6 @@ let latency_csv ?site_names t =
   List.iter
     (fun (k, s) -> row ~scope:"episode" ~kind:k ~sid:"" ~site:"" s)
     (episode_summaries t);
-  (* request-class labels come from the mix grammar — user-controlled,
-     so commas/quotes must survive the quoting in [row] *)
   List.iter
     (fun (k, s) -> row ~scope:"request" ~kind:k ~sid:"" ~site:"" s)
     (request_summaries t);

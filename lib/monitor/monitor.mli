@@ -12,23 +12,25 @@
        monitor's own latency registry, and report the {e windowed
        deltas} (activity inside the window, not cumulative totals).
        Serialized as the [olden-timeseries/v1] JSONL schema and as CSV.}
-    {- {b End-to-end latency}: the engine, machine, and recovery layers
-       record each completed episode — a dereference (entry to
-       completion, spanning cache misses, migration round-trips,
-       retries, fallbacks, and crash replays), a migration delivery, a
-       return-stub delivery, a retry backoff, a crash recovery — into
-       log-bucketed {!Metrics} histograms with exact-rank
-       p50/p90/p99/p999 quantiles, aggregated per mechanism and per
-       dereference site.}}
+    {- {b End-to-end latency}: a consumer of the causal span stream
+       ({!Olden_span.Span}).  Each completed episode is emitted once, as
+       a span, and read into log-bucketed {!Metrics} histograms with
+       exact-rank p50/p90/p99/p999 quantiles: a dereference ([Deref]
+       root: entry to completion, spanning cache misses, migration
+       round-trips, retries, fallbacks, and crash replays), per
+       mechanism and per dereference site; the migration leg (a [Recv]
+       hop under a [Deref] root, from the root's entry); a return stub
+       ([Return] root); a retry backoff ([Backoff]); a crash recovery
+       or failover ([Crash], [Failover]); a served request ([Request]
+       root).}}
 
-    Like {!Trace}, the monitor is a single process-wide sink and is
-    zero-cost when off: instrumentation sites are written
-
-    {[ if Monitor.is_on () then Monitor.deref ~sid ~mech ~cycles ]}
-
-    so with no monitor installed only one word is read.  The monitor
-    only {e reads} simulated clocks — it never advances them — so
-    monitored runs are cycle-identical to unmonitored ones, and the
+    No layer below the driver calls into the monitor except the
+    scheduler's {!tick}.  {!install} attaches the consumer to the span
+    stream, which turns span emission on, so a monitored run carries
+    span context (trace ids, ambient roots) even without a collector;
+    with nothing installed the span guard is the one word read.  The
+    monitor only {e reads} simulated clocks — it never advances them —
+    so monitored runs are cycle-identical to unmonitored ones, and the
     output is a pure function of (program, config, seed): same seed,
     byte-identical JSONL.  Schema reference: docs/OBSERVABILITY.md. *)
 
@@ -50,7 +52,7 @@ val mech_index : mech -> int
 
 (** Closures over the running machine, supplied by the driver
     ([Common.execute]); the monitor has no dependency on the machine
-    layer, so every layer above [olden_trace] may call into it. *)
+    layer. *)
 type probe = {
   stats : unit -> (string * int) list;
       (** the full [Stats.fields] of the live stats record *)
@@ -71,48 +73,19 @@ val nprocs : t -> int
 (** {2 The process-wide sink} *)
 
 val install : t -> unit
-(** @raise Invalid_argument if a monitor is already installed. *)
+(** Attach the monitor to the span stream ({!Olden_span.Span.attach_monitor})
+    for this domain.
+    @raise Invalid_argument if a monitor is already installed. *)
 
 val uninstall : unit -> unit
 
 val is_on : unit -> bool
-(** Instrumentation sites must guard on this so the disabled path
-    allocates nothing. *)
-
-(** {2 Instrumentation hooks} (no-ops when no monitor is installed)
-
-    All [cycles] are simulated-clock durations; [tick] carries the
-    scheduler's global virtual time, which is monotonically
-    non-decreasing across calls. *)
 
 val tick : int -> unit
-(** Advance the window clock; closes every interval window the given
-    time has passed. *)
-
-val deref : sid:int -> mech:mech -> cycles:int -> unit
-(** A dereference episode completed: end-to-end latency [cycles], from
-    the operation's entry to its completion on whichever processor
-    finished it. *)
-
-val migration : cycles:int -> unit
-(** A migrated computation restarted at its target: [cycles] from
-    episode entry at the source to restart at the target. *)
-
-val return_stub : cycles:int -> unit
-(** A return stub delivered its value back to the home processor. *)
-
-val retry_wait : cycles:int -> unit
-(** A sender finished one backoff wait before retransmitting. *)
-
-val recovery_stall : cycles:int -> unit
-(** A crashed processor completed its warm-restart protocol. *)
-
-val request : klass:string -> cycles:int -> unit
-(** A served request completed: admission→completion latency [cycles],
-    bucketed under its request-class label (from the serving mix
-    grammar, e.g. ["point"]).  Adds a per-class dimension to the
-    latency exports; sections appear only when at least one request was
-    recorded, so batch runs export byte-identical documents. *)
+(** Advance the window clock to the scheduler's global virtual time
+    (monotonically non-decreasing across calls); closes every interval
+    window that time has passed.  A no-op when no monitor is
+    installed. *)
 
 val finish : t -> makespan:int -> unit
 (** Close the final (partial) window at [makespan].  Idempotent. *)
@@ -164,16 +137,17 @@ val site_summaries :
     [site_names] maps sids to labels (e.g. [Site.labels ()]). *)
 
 val request_summaries : t -> (string * summary) list
-(** Per request class, sorted by class label; empty outside serving
-    runs. *)
+(** Per request class ([Request] roots, labelled by
+    {!Olden_span.Span.request_class_name}), sorted by class label; empty
+    outside serving runs. *)
 
 (** {2 Exemplars}
 
-    While span tracing is on ({!Olden_span.Span.is_on}), the monitor
-    retains the trace ids of the worst dereference episodes per
-    mechanism (a small fixed number of slots, recorded without
-    allocating), so tail-latency percentiles can be traced back to the
-    concrete causal chains that produced them. *)
+    Whenever a monitor is installed it retains the trace ids of the
+    worst dereference episodes per mechanism, taken from their [Deref]
+    roots (a small fixed number of slots, recorded without allocating),
+    so tail-latency percentiles can be traced back to the concrete
+    causal chains that produced them. *)
 
 type exemplar = {
   ex_mech : mech;
@@ -219,7 +193,6 @@ val csv : t -> string
 
 val latency_csv : ?site_names:(int * string) list -> t -> string
 (** Latency summaries as CSV: one row per mechanism, episode kind,
-    request class (serving runs only), and (site, mech) pair.  Site and
-    class labels (and every text field) are quoted through
-    {!Json.csv_field} — commas, quotes, or newlines in a label cannot
-    corrupt the row. *)
+    request class (serving runs only), and (site, mech) pair.  Site
+    labels (and every text field) are quoted through {!Json.csv_field}
+    — commas, quotes, or newlines in a label cannot corrupt the row. *)

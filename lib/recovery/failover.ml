@@ -198,8 +198,6 @@ let fail_over t ~victim =
   end;
   let stall = Machine.now t.machine successor - t0 in
   ps.stall_cycles <- ps.stall_cycles + stall;
-  if Olden_monitor.Monitor.is_on () then
-    Olden_monitor.Monitor.recovery_stall ~cycles:stall;
   if span_on then
     Span.exit_emit ~id:sid ~prev:sprev ~kind:Span.Failover ~proc:successor
       ~t0

@@ -150,8 +150,6 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
   let stall = Machine.now t.machine proc - t0 in
   ps.stall_cycles <- ps.stall_cycles + stall;
   s.Stats.recovery_stall_cycles <- s.Stats.recovery_stall_cycles + stall;
-  if Olden_monitor.Monitor.is_on () then
-    Olden_monitor.Monitor.recovery_stall ~cycles:stall;
   if span_on then
     Span.exit_emit ~id:sid ~prev:sprev ~kind:Span.Crash ~proc ~t0
       ~t1:(Machine.now t.machine proc) ~a:lost ~b:!homes;

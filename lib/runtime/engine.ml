@@ -433,22 +433,13 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           if span_on then
             Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_recv ~a:0
               ~b:0;
-          if Monitor.is_on () then
-            (* episode entry ([ep0]) to restart here: the migration leg *)
-            Monitor.migration
-              ~cycles:(Machine.now t.machine target - ep0);
           let v = complete () in
-          if span_on then
-            Span.child ~kind:Span.Service ~proc:target ~t0:t_recv
-              ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
-          if Monitor.is_on () then
-            (* entry to completion of the interrupted dereference *)
-            Monitor.deref ~sid:site ~mech:Monitor.Migrate
-              ~cycles:(Machine.now t.machine target - ep0);
-          if span_on then
-            Span.close_root
-              ~t1:(Machine.now t.machine target)
-              ~a:site ~b:2 (* mech code: migrate *);
+          if span_on then begin
+            let t_done = Machine.now t.machine target in
+            Span.child ~kind:Span.Service ~proc:target ~t0:t_recv ~t1:t_done
+              ~a:0 ~b:0;
+            Span.close_root ~t1:t_done ~a:site ~b:2 (* mech code: migrate *)
+          end;
           Effect.Deep.continue k v);
     }
 
@@ -580,65 +571,42 @@ let immediate_store_u t (site : Site.t) g field v =
         else raise_notrace Must_perform
   end
 
-(* Monitored entry points over the untimed bodies above.  A dereference
+(* Spanned entry points over the untimed bodies above.  A dereference
    that completes without capturing the fiber is a finished episode: its
-   end-to-end latency (including any crash stall [check_crash] charged
-   and any cache miss round-trips and retries inside [Cache.read/write])
-   is the clock movement across the body.  [Must_perform] propagates
-   before any mutation, so an aborted immediate attempt records
-   nothing — the episode continues in the effect handler. *)
+   [Deref] root spans the clock movement across the body, including any
+   crash stall [check_crash] charged and any cache miss round-trips and
+   retries inside [Cache.read/write].
 
+   The root opens here, at episode entry, *before* the body runs: if the
+   body raises [Must_perform] (before any mutation) the root stays open
+   in the ambient context and the effect-handler arm continues the same
+   episode (the arm is always entered with the root already open —
+   [Ops] tries the fast path first). *)
+
+(* The mechanism code a root's [b] carries when the body completed:
+   0 = local (sequential mode, or a migrate site whose data was local),
+   1 = cache. *)
 let completed_mech t (site : Site.t) =
-  if t.cfg.C.sequential then Monitor.Local
-  else
-    match effective_mechanism t site with
-    | C.Cache -> Monitor.Cache
-    | C.Migrate -> Monitor.Local (* completed immediately: data was local *)
-
-let mech_code = function
-  | Monitor.Local -> 0
-  | Monitor.Cache -> 1
-  | Monitor.Migrate -> 2
-  | Monitor.Fallback -> 3
-
-(* Span roots open here, at episode entry, *before* the body runs: if the
-   body raises [Must_perform] the root stays open in the ambient context
-   and the effect-handler arm continues the same episode (the arm is
-   always entered with the root already open — [Ops] tries the fast path
-   first).  [Monitor.deref] runs before [close_root] so exemplars can
-   read the trace id of the episode they record. *)
+  if t.cfg.C.sequential then 0
+  else match effective_mechanism t site with C.Cache -> 1 | C.Migrate -> 0
 
 let immediate_load t (site : Site.t) g field =
-  let mon = Monitor.is_on () in
-  let sp = Span.is_on () in
-  if not (mon || sp) then immediate_load_u t site g field
+  if not (Span.is_on ()) then immediate_load_u t site g field
   else begin
-    let ep0 = now t in
-    if sp && not (Span.root_open ()) then
-      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+    if not (Span.root_open ()) then
+      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
     let v = immediate_load_u t site g field in
-    let mech = completed_mech t site in
-    if mon then
-      Monitor.deref ~sid:site.Site.sid ~mech ~cycles:(now t - ep0);
-    if sp then
-      Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(mech_code mech);
+    Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(completed_mech t site);
     v
   end
 
 let immediate_store t (site : Site.t) g field v =
-  let mon = Monitor.is_on () in
-  let sp = Span.is_on () in
-  if not (mon || sp) then immediate_store_u t site g field v
+  if not (Span.is_on ()) then immediate_store_u t site g field v
   else begin
-    let ep0 = now t in
-    if sp && not (Span.root_open ()) then
-      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+    if not (Span.root_open ()) then
+      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
     immediate_store_u t site g field v;
-    let mech = completed_mech t site in
-    if mon then
-      Monitor.deref ~sid:site.Site.sid ~mech ~cycles:(now t - ep0);
-    if sp then
-      Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(mech_code mech)
+    Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(completed_mech t site)
   end
 
 let immediate_touch t (cell : fut) =
@@ -726,17 +694,31 @@ let try_migrate t ~(site : Site.t) ~home =
    a migration's completion, performs effects of its own that overwrite
    the fields. *)
 
+(* A dereference that must migrate continues its episode in the arm,
+   from [ep0], the arm's entry.  The fast path opened the root on the
+   same processor; if the clock moved since (a crash stall [check_crash]
+   charged before [Must_perform]), that gap is a source-side [Replay]
+   hop, as on the target side, so the hops tile the episode from the
+   root's own entry. *)
+let resume_root t ~ep0 =
+  if not (Span.root_open ()) then
+    Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0
+  else begin
+    let r0 = Span.deref_t0 () in
+    if r0 >= 0 && ep0 > r0 then
+      Span.child ~kind:Span.Replay ~proc:t.cur_proc ~t0:r0 ~t1:ep0 ~a:0 ~b:0
+  end
+
 let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
   let site = t.e_site and g = t.e_gptr and field = t.e_field in
-  let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
+  let ep0 = now t in
   match immediate_load t site g field with
   | v -> Effect.Deep.continue k v
   | exception Must_perform -> (
       (* the reference must migrate: only here is the fiber captured *)
       let c = costs t in
       let home = Gptr.proc g in
-      if Span.is_on () && not (Span.root_open ()) then
-        Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+      if Span.is_on () then resume_root t ~ep0;
       advance t c.C.pointer_test;
       let penalty = try_migrate t ~site ~home in
       if penalty >= 0 then begin
@@ -759,29 +741,25 @@ let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
         let cid = if sp then Span.enter () else -1 in
         let cs0 = now t in
         let v = cached_load t site g field in
-        if sp then
+        if sp then begin
           Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
             ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-        if Monitor.is_on () then
-          Monitor.deref ~sid:site.Site.sid ~mech:Monitor.Fallback
-            ~cycles:(now t - ep0);
-        if sp then
           Span.close_root ~t1:(now t) ~a:site.Site.sid
-            ~b:3 (* mech code: fallback *);
+            ~b:3 (* mech code: fallback *)
+        end;
         Effect.Deep.continue k v
       end)
 
 let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
   let site = t.e_site and g = t.e_gptr and field = t.e_field in
   let v = t.e_value in
-  let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
+  let ep0 = now t in
   match immediate_store t site g field v with
   | () -> Effect.Deep.continue k ()
   | exception Must_perform -> (
       let c = costs t in
       let home = Gptr.proc g in
-      if Span.is_on () && not (Span.root_open ()) then
-        Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+      if Span.is_on () then resume_root t ~ep0;
       advance t c.C.pointer_test;
       let penalty = try_migrate t ~site ~home in
       if penalty >= 0 then begin
@@ -804,15 +782,12 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
         let cid = if sp then Span.enter () else -1 in
         let cs0 = now t in
         cached_store t site g field v;
-        if sp then
+        if sp then begin
           Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
             ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-        if Monitor.is_on () then
-          Monitor.deref ~sid:site.Site.sid ~mech:Monitor.Fallback
-            ~cycles:(now t - ep0);
-        if sp then
           Span.close_root ~t1:(now t) ~a:site.Site.sid
-            ~b:3 (* mech code: fallback *);
+            ~b:3 (* mech code: fallback *)
+        end;
         Effect.Deep.continue k ()
       end)
 
@@ -902,7 +877,7 @@ let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
     let c = costs t in
     let s = stats t in
     let sp = Span.is_on () in
-    let ep0 = if Monitor.is_on () || sp then now t else 0 in
+    let ep0 = now t in
     s.Stats.returns <- s.Stats.returns + 1;
     let thread = t.cur_thread in
     let source = t.cur_proc in
@@ -969,14 +944,12 @@ let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
             (* back at the (virtual) origin, wherever the home map routed
                the stub *)
             thread.seat <- origin;
-            if span_on then
-              Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc
-                ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
-            if Monitor.is_on () then
-              Monitor.return_stub ~cycles:(Machine.now t.machine target - ep0);
-            if span_on then
-              Span.close_root ~t1:(Machine.now t.machine target) ~a:target
-                ~b:0;
+            if span_on then begin
+              let t_done = Machine.now t.machine target in
+              Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_done
+                ~a:0 ~b:0;
+              Span.close_root ~t1:t_done ~a:target ~b:0
+            end;
             Effect.Deep.continue k ());
       }
   end
@@ -1191,7 +1164,7 @@ let step t =
     | _ ->
     (* [best_start] is the global virtual time: it never decreases across
        steps, so it drives the monitor's interval windows *)
-    if Monitor.is_on () then Monitor.tick best_start;
+    Monitor.tick best_start;
     Machine.wait_until t.machine proc best_start;
     t.cur_proc <- proc;
     if Candidate_heap.prio t.cands proc = 0 then begin

@@ -442,9 +442,6 @@ let run ?(scale = 64) ~(cfg : C.t) ~(spec : C.Serving.spec) ~mix heap =
                 let admitted_at = base + a.a_offset in
                 Engine.inject engine ~proc:ingress ~ready_at:admitted_at
                   ~on_complete:(fun ~proc ~finish ->
-                    let cycles = finish - admitted_at in
-                    if Monitor.is_on () then
-                      Monitor.request ~klass:(klass_name k) ~cycles;
                     if Span.is_on () then
                       Span.root ~kind:Span.Request ~proc ~t0:admitted_at
                         ~t1:finish ~a:(klass_code k) ~b:ingress)

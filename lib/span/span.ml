@@ -21,11 +21,13 @@
      hops took as long as they did.
 
    Like {!Trace}, emission must cost nothing when off: every site is
-   guarded by [is_on ()], one boolean load.  The sink has two consumers
-   with different cost budgets: the collector (allocates one record per
-   span, only for export/tests) and the flight recorder ({!Flight}, a
-   fixed int ring that is allocation-free and can stay on for whole
-   chaos runs).  [on] is true when either is active. *)
+   guarded by [is_on ()], one boolean load.  The sink has three
+   consumers with different cost budgets: the collector (allocates one
+   record per span, only for export/tests), the flight recorder
+   ({!Flight}, a fixed int ring that is allocation-free and can stay on
+   for whole chaos runs), and the monitor (its latency histograms and
+   exemplars are read off the stream, allocation-free).  [on] is true
+   when any of them is active. *)
 
 module Json = Olden_trace.Json
 
@@ -153,10 +155,15 @@ let is_root = function Deref | Return | Request -> true | _ -> false
 
 let max_procs = 1024
 
+type consumer =
+  tp:int -> ts:int -> kind:kind -> t0:int -> t1:int -> a:int -> b:int -> unit
+
 type state = {
   mutable on : bool;
   mutable collector_on : bool;
   mutable sink : span -> unit;
+  mutable monitor_on : bool;
+  mutable monitor : consumer;
   mutable next_id : int;
   mutable ctx_tp : int; (* trace id of the episode in flight, -1 when none *)
   mutable ctx_ts : int;
@@ -169,12 +176,16 @@ type state = {
   last_span : int array; (* last span id emitted per proc *)
 }
 
+let no_consumer ~tp:_ ~ts:_ ~kind:_ ~t0:_ ~t1:_ ~a:_ ~b:_ = ()
+
 let key =
   Domain.DLS.new_key (fun () ->
       {
         on = false;
         collector_on = false;
         sink = (fun _ -> ());
+        monitor_on = false;
+        monitor = no_consumer;
         next_id = 0;
         ctx_tp = -1;
         ctx_ts = -1;
@@ -191,7 +202,7 @@ let state () = Domain.DLS.get key
 
 let refresh_on () =
   let g = state () in
-  g.on <- g.collector_on || Flight.is_enabled ()
+  g.on <- g.collector_on || g.monitor_on || Flight.is_enabled ()
 
 let is_on () = (state ()).on
 
@@ -205,6 +216,18 @@ let uninstall () =
   let g = state () in
   g.collector_on <- false;
   g.sink <- (fun _ -> ());
+  refresh_on ()
+
+let attach_monitor f =
+  let g = state () in
+  g.monitor <- f;
+  g.monitor_on <- true;
+  refresh_on ()
+
+let detach_monitor () =
+  let g = state () in
+  g.monitor_on <- false;
+  g.monitor <- no_consumer;
   refresh_on ()
 
 let flight_enable ?capacity () =
@@ -277,19 +300,25 @@ let trace_seq () = (state ()).ctx_ts
 let parent () = (state ()).ctx_parent
 let root_open () = (state ()).root_id >= 0
 
+let deref_t0 () =
+  let g = state () in
+  if g.root_id >= 0 && g.root_kind = kind_code Deref then g.root_t0 else -1
+
 let last_span_on proc =
   if proc < max_procs then (state ()).last_span.(proc) else -1
 
 (* --- Emission ----------------------------------------------------------- *)
 
 (* The collector consumer allocates the record; the flight recorder
-   stores raw ints.  Guarding each consumer separately keeps the
-   flight-only path (chaos runs) allocation-free. *)
+   stores raw ints and the monitor takes them as arguments.  Guarding
+   each consumer separately keeps the flight and monitor paths (chaos
+   and serving runs) allocation-free. *)
 let emit_raw ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
   let g = state () in
   if proc >= 0 && proc < max_procs then g.last_span.(proc) <- id;
   if Flight.is_enabled () then
     Flight.note ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0 ~t1 ~a ~b;
+  if g.monitor_on then g.monitor ~tp ~ts ~kind ~t0 ~t1 ~a ~b;
   if g.collector_on then
     g.sink { trace_proc = tp; trace_seq = ts; id; parent; kind; proc; t0; t1; a; b }
 
@@ -554,6 +583,8 @@ let request_class_names = [| "point"; "scan"; "update" |]
 let array_name names i =
   if i >= 0 && i < Array.length names then names.(i) else string_of_int i
 
+let request_class_name = array_name request_class_names
+
 (* One human line per span kind; [site_name] labels dereference sites. *)
 let describe ~site_name sp =
   let dur = sp.t1 - sp.t0 in
@@ -592,7 +623,7 @@ let describe ~site_name sp =
           sp.b
     | Request ->
         Printf.sprintf "class=%s ingress proc %d"
-          (array_name request_class_names sp.a)
+          (request_class_name sp.a)
           sp.b
   in
   Printf.sprintf "%-13s proc %d  %-22s %s" (kind_name sp.kind) sp.proc iv

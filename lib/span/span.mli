@@ -51,11 +51,25 @@ val is_root : kind -> bool
 (** {1 Sink} *)
 
 val is_on : unit -> bool
-(** True when the collector or the flight recorder is active — the one
-    word read every instrumentation site is guarded by. *)
+(** True when the collector, the flight recorder or a monitor is active
+    — the one word read every instrumentation site is guarded by. *)
 
 val install : (span -> unit) -> unit
 val uninstall : unit -> unit
+
+(** {1 Monitor consumer} *)
+
+type consumer =
+  tp:int -> ts:int -> kind:kind -> t0:int -> t1:int -> a:int -> b:int -> unit
+(** Receives every emitted span's trace id, kind, interval and payload,
+    synchronously, with the emitting context still ambient. *)
+
+val attach_monitor : consumer -> unit
+(** Feed every span to the consumer and turn spans on — how
+    [Monitor.install] computes its latency histograms from this stream.
+    One consumer at a time; a second call replaces the first. *)
+
+val detach_monitor : unit -> unit
 
 (** {1 Flight recorder} *)
 
@@ -96,6 +110,12 @@ val reset : unit -> unit
     same-seed runs export byte-identical spans. *)
 
 val root_open : unit -> bool
+
+val deref_t0 : unit -> int
+(** Entry time of the open root when it is a [Deref], else -1: the
+    migration leg's start, and where a migrating dereference's hops
+    begin. *)
+
 val open_root : kind:kind -> proc:int -> t0:int -> unit
 val close_root : t1:int -> a:int -> b:int -> unit
 (** Emit the open root (parent -1) and clear the context; no-op when no
@@ -122,8 +142,7 @@ val exit_emit :
     the parent. *)
 
 val trace_proc : unit -> int
-(** Trace id of the episode in flight (-1 when none) — how [Monitor]
-    links exemplars to spans. *)
+(** Trace id of the episode in flight (-1 when none). *)
 
 val trace_seq : unit -> int
 
@@ -165,6 +184,10 @@ val episode_tree :
   span array -> trace_proc:int -> trace_seq:int -> node option
 (** The causal tree of one episode (children ordered by t0 then id);
     [None] if that trace id never completed a root span. *)
+
+val request_class_name : int -> string
+(** The label of a [Request] root's class code ([a]): ["point"],
+    ["scan"] or ["update"]. *)
 
 val describe : site_name:(int -> string) -> span -> string
 (** One human-readable line for a span. *)

@@ -1,20 +1,56 @@
-(* Regenerate the golden streams used by test_trace.ml / test_span.ml:
+(* Regenerate the golden files used by test_trace.ml / test_span.ml /
+   test_monitor.ml:
 
-     dune exec test/gen_golden.exe          > test/golden/treeadd_p2_trace.jsonl
-     dune exec test/gen_golden.exe -- spans > test/golden/treeadd_p2_spans.jsonl
+     dune exec test/gen_golden.exe            > test/golden/treeadd_p2_trace.jsonl
+     dune exec test/gen_golden.exe -- spans   > test/golden/treeadd_p2_spans.jsonl
+     dune exec test/gen_golden.exe -- latency > test/golden/latency_crash_mix_p8.jsonl
 
-   Must stay in lockstep with Test_trace.run_treeadd and
-   Test_span.run_treeadd: 2 processors, treeadd at the minimum tree size,
-   site ids reset first. *)
+   Must stay in lockstep with Test_trace.run_treeadd,
+   Test_span.run_treeadd and Test_monitor.crash_mix_latency: treeadd at
+   2 processors and the minimum tree size; Bisort and Health at 8
+   processors, global coherence, crash-mix seed 2, at the test scales;
+   site ids reset before every run. *)
 
 open Olden
 module B = Olden_benchmarks
+
+(* One line per benchmark: its [Monitor.latency_json] under crash-mix,
+   where retry waits, crash recovery and return stubs all fire. *)
+let latency () =
+  List.iter
+    (fun ((s : B.Common.spec), scale) ->
+      Site.reset ();
+      let cfg =
+        Config.make ~nprocs:8 ~coherence:Config.Global
+          ~faults:(Config.Faults.crash_mix ~seed:2 ())
+          ()
+      in
+      (B.Common.hooks ()).monitor_interval <- Some 10_000;
+      let o =
+        Fun.protect
+          ~finally:(fun () -> (B.Common.hooks ()).monitor_interval <- None)
+          (fun () -> s.B.Common.run cfg ~scale)
+      in
+      let m = Option.get (B.Common.hooks ()).last_monitor in
+      (B.Common.hooks ()).last_monitor <- None;
+      assert o.B.Common.ok;
+      print_string
+        (Json.to_string
+           (Json.Obj
+              [
+                ("benchmark", Json.String s.B.Common.name);
+                ( "latency",
+                  Monitor.latency_json ~site_names:(Site.labels ()) m );
+              ]));
+      print_newline ())
+    [ (B.Bisort.spec, 128); (B.Health.spec, 8) ]
 
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "trace" in
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
   match mode with
+  | "latency" -> latency ()
   | "spans" ->
       let o, spans =
         Span.collect (fun () ->

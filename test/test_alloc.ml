@@ -55,35 +55,63 @@ let test_observe () =
         Metrics.observe h ((i * 7919) land 0xfffff)
       done)
 
-(* With the flight recorder on, an open root gives every dereference a
-   trace id, so each one goes through the exemplar table: the warm-up
-   call fills its slots, and rising latencies then displace a held
-   exemplar at every call. *)
+(* The monitor reads its histograms off the span stream, so its hooks
+   are the span emissions: dereference roots (whose rising latencies
+   displace a held exemplar at every call once the warm-up call has
+   filled the slots), migration legs and retry backoffs under an open
+   root, and request roots — with the span collector off, the flight
+   recorder off and on. *)
 let test_monitor_hooks () =
   List.iter
     (fun flight ->
       let mode = if flight then "flight recorder on" else "flight recorder off" in
-      with_hooks ~monitor:true ~flight (fun () ->
+      let m = quiet_monitor () in
+      Monitor.install m;
+      if flight then Span.flight_enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          Monitor.uninstall ();
+          if flight then Span.flight_disable ())
+        (fun () ->
           Span.reset ();
-          if flight then Span.open_root ~kind:Span.Deref ~proc:0 ~t0:0;
           let base = ref 0 in
-          zero ("Monitor.deref, " ^ mode) (fun () ->
+          zero ("Deref roots, " ^ mode) (fun () ->
               for i = 1 to calls do
-                Monitor.deref ~sid:(i land 15) ~mech:Monitor.Cache
-                  ~cycles:(i land 1023);
-                Monitor.deref ~sid:(i land 15) ~mech:Monitor.Migrate
-                  ~cycles:(!base + i)
+                Span.open_root ~kind:Span.Deref ~proc:(i land 7) ~t0:0;
+                Span.close_root ~t1:(i land 1023) ~a:(i land 15) ~b:1;
+                Span.open_root ~kind:Span.Deref ~proc:(i land 7) ~t0:0;
+                Span.close_root ~t1:(!base + i) ~a:(i land 15) ~b:2
               done;
               base := !base + calls);
-          zero ("Monitor.migration, " ^ mode) (fun () ->
+          zero ("Recv and Backoff under a root, " ^ mode) (fun () ->
+              Span.open_root ~kind:Span.Deref ~proc:0 ~t0:0;
               for i = 1 to calls do
-                Monitor.migration ~cycles:i
-              done);
-          zero ("Monitor.request, " ^ mode) (fun () ->
+                Span.child ~kind:Span.Recv ~proc:1 ~t0:i ~t1:(i + 5) ~a:0 ~b:0;
+                Span.child ~kind:Span.Backoff ~proc:1 ~t0:i ~t1:(2 * i) ~a:1
+                  ~b:i
+              done;
+              Span.clear ());
+          zero ("Request roots, " ^ mode) (fun () ->
               for i = 1 to calls do
-                Monitor.request ~klass:"point" ~cycles:i
-              done);
-          Span.clear ()))
+                Span.root ~kind:Span.Request ~proc:(i land 7) ~t0:0 ~t1:i
+                  ~a:(i mod 3) ~b:0
+              done));
+      (* each zero check runs its body twice: the warm-up and the count *)
+      let count name rows =
+        match List.assoc_opt name rows with
+        | Some (s : Monitor.summary) -> s.Monitor.count
+        | None -> 0
+      in
+      check Alcotest.int ("migrate derefs recorded, " ^ mode) (2 * calls)
+        (count "migrate" (Monitor.deref_summaries m));
+      check Alcotest.int ("migration legs recorded, " ^ mode) (2 * calls)
+        (count "migration" (Monitor.episode_summaries m));
+      check Alcotest.int ("retry waits recorded, " ^ mode) (2 * calls)
+        (count "retry_wait" (Monitor.episode_summaries m));
+      check Alcotest.int ("requests recorded, " ^ mode) (2 * calls)
+        (List.fold_left
+           (fun n (_, (s : Monitor.summary)) -> n + s.Monitor.count)
+           0 (Monitor.request_summaries m)))
     [ false; true ]
 
 (* The crash check at every operation boundary, across fresh crash
@@ -317,22 +345,20 @@ end
 (* Latencies from a small range, so ties among held exemplars and with
    the newcomer are common. *)
 let exemplars_agree episodes =
-  with_hooks ~monitor:false ~flight:true (fun () ->
+  let m = quiet_monitor () in
+  Monitor.install m;
+  Fun.protect ~finally:Monitor.uninstall (fun () ->
       Span.reset ();
-      let m = quiet_monitor () in
-      Monitor.install m;
-      Fun.protect ~finally:Monitor.uninstall (fun () ->
-          let reference = Scan_exemplars.create () in
-          List.for_all
-            (fun (proc, cycles) ->
-              Span.open_root ~kind:Span.Deref ~proc ~t0:0;
-              let tp = Span.trace_proc () and ts = Span.trace_seq () in
-              Monitor.deref ~sid:(-1) ~mech:Monitor.Migrate ~cycles;
-              Span.clear ();
-              Scan_exemplars.note reference ~cycles ~tp ~ts;
-              Monitor.held_exemplars m Monitor.Migrate
-              = Scan_exemplars.held reference)
-            episodes))
+      let reference = Scan_exemplars.create () in
+      List.for_all
+        (fun (proc, cycles) ->
+          Span.open_root ~kind:Span.Deref ~proc ~t0:0;
+          let tp = Span.trace_proc () and ts = Span.trace_seq () in
+          Span.close_root ~t1:cycles ~a:(-1) ~b:2 (* mech code: migrate *);
+          Scan_exemplars.note reference ~cycles ~tp ~ts;
+          Monitor.held_exemplars m Monitor.Migrate
+          = Scan_exemplars.held reference)
+        episodes)
 
 let prop_exemplars =
   QCheck.Test.make ~name:"exemplar slots = the 16-slot scan, ties included"

@@ -276,10 +276,59 @@ let test_jsonl_shape () =
 
 let test_off_by_default () =
   check bool "no monitor installed" false (Monitor.is_on ());
-  (* the hooks are no-ops rather than errors when nothing is installed *)
+  (* the tick is a no-op rather than an error when nothing is installed *)
   Monitor.tick 1_000;
-  Monitor.deref ~sid:0 ~mech:Monitor.Cache ~cycles:10;
-  Monitor.retry_wait ~cycles:5
+  check bool "spans off" false (Span.is_on ());
+  (* installing a monitor attaches it to the span stream *)
+  let m =
+    Monitor.create ~interval:1_000 ~nprocs:1
+      ~probe:
+        {
+          Monitor.stats = (fun () -> []);
+          busy = (fun () -> [| 0 |]);
+          comm = (fun () -> [| 0 |]);
+          recovery_stall = (fun () -> [| 0 |]);
+        }
+  in
+  Monitor.install m;
+  let on = Span.is_on () in
+  Monitor.uninstall ();
+  check bool "a monitor turns spans on" true on;
+  check bool "and off again" false (Span.is_on ())
+
+(* --- Golden: the latency path under crashes ------------------------------ *)
+
+(* Bisort and Health at 8 processors under crash-mix seed 2, global
+   coherence: retry waits, recovery stalls and return stubs all fire,
+   pinned byte-for-byte.  Lockstep with [gen_golden.exe latency]. *)
+let crash_mix_latency () =
+  List.map
+    (fun (s : B.Common.spec) ->
+      let _, m =
+        monitored
+          ~faults:(Config.Faults.crash_mix ~seed:2 ())
+          ~coherence:Config.Global s
+      in
+      Json.to_string
+        (Json.Obj
+           [
+             ("benchmark", Json.String s.B.Common.name);
+             ("latency", Monitor.latency_json ~site_names:(Site.labels ()) m);
+           ])
+      ^ "\n")
+    [ B.Bisort.spec; B.Health.spec ]
+  |> String.concat ""
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let test_crash_mix_golden () =
+  check string "matches the committed crash-mix latency golden"
+    (read_file "golden/latency_crash_mix_p8.jsonl")
+    (crash_mix_latency ())
 
 let suite =
   [
@@ -298,4 +347,6 @@ let suite =
     Alcotest.test_case "csv shape" `Quick test_csv_shape;
     Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
     Alcotest.test_case "off by default" `Quick test_off_by_default;
+    Alcotest.test_case "golden crash-mix latency (Bisort, Health)" `Quick
+      test_crash_mix_golden;
   ]

@@ -263,8 +263,9 @@ let test_cli_serve_out () =
 (* --- Request-class labels survive CSV quoting ----------------------------- *)
 
 let test_csv_quoting () =
-  (* a hostile class label — commas, quotes, even a newline — must ride
-     in one RFC 4180 field and round-trip verbatim *)
+  (* a hostile site label — commas and quotes — must ride in one
+     RFC 4180 field and round-trip verbatim, beside the request rows the
+     monitor reads off request roots *)
   let probe =
     {
       Monitor.stats = (fun () -> []);
@@ -276,15 +277,19 @@ let test_csv_quoting () =
   let m = Monitor.create ~interval:1_000 ~nprocs:8 ~probe in
   Monitor.install m;
   Fun.protect ~finally:Monitor.uninstall (fun () ->
-      Monitor.request ~klass:"point,\"weird\"" ~cycles:100;
-      Monitor.request ~klass:"point,\"weird\"" ~cycles:300;
-      Monitor.request ~klass:"plain" ~cycles:200;
+      Span.reset ();
+      Span.open_root ~kind:Span.Deref ~proc:0 ~t0:0;
+      Span.close_root ~t1:100 ~a:0 ~b:1 (* site 0, cache *);
+      Span.root ~kind:Span.Request ~proc:0 ~t0:0 ~t1:300 ~a:0 ~b:0;
+      Span.root ~kind:Span.Request ~proc:1 ~t0:0 ~t1:200 ~a:2 ~b:1;
       Monitor.finish m ~makespan:1_000);
-  let csv = Monitor.latency_csv m in
+  let site_names = [ (0, "point,\"weird\"") ] in
+  let csv = Monitor.latency_csv ~site_names m in
   (* the comma and the doubled quotes stay inside one quoted field *)
   check bool "hostile label is quoted" true
     (contains csv "\"point,\"\"weird\"\"\"");
-  check bool "plain label is untouched" true (contains csv "request,plain,");
+  check bool "request rows carry their class labels" true
+    (contains csv "request,point," && contains csv "request,update,");
   (* no row gained a column: every line still has 12 unquoted commas *)
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)
@@ -302,7 +307,7 @@ let test_csv_quoting () =
         12 !commas)
     lines;
   (* the hostile label did not leak into the JSON export either *)
-  match Json.of_string (Json.to_string (Monitor.latency_json m)) with
+  match Json.of_string (Json.to_string (Monitor.latency_json ~site_names m)) with
   | j ->
       check bool "JSON round-trips the label" true
         (contains (Json.to_string j) "point,\\\"weird\\\"")

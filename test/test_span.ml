@@ -1,9 +1,11 @@
 (* Causal span tracing: the golden 2-processor treeadd span tree, byte
    determinism of the olden-spans/v1 export across all ten benchmarks,
    exemplar trace ids naming real completed episodes whose root duration
-   is the recorded latency, exact hop tiling of migration episodes, the
-   flight-recorder dump on a forced deadlock, and zero perturbation of
-   the simulation whether tracing is on or off. *)
+   is the recorded latency, the monitor's latency totals equal to the
+   same totals recomputed from the collected spans, exact hop tiling of
+   migration episodes from the root's entry, the flight-recorder dump on
+   a forced deadlock, and zero perturbation of the simulation whether
+   tracing is on or off. *)
 
 open Olden
 module B = Olden_benchmarks
@@ -128,10 +130,10 @@ let test_run_twice_byte_identical () =
 
 (* Run with the monitor and the span collector together (what olden-run
    explain does) and hand back both. *)
-let monitored_spanned ?faults ?(nprocs = 8) ?(coherence = Config.Local)
-    (s : B.Common.spec) =
+let monitored_spanned ?faults ?replication ?(nprocs = 8)
+    ?(coherence = Config.Local) (s : B.Common.spec) =
   Site.reset ();
-  let cfg = Config.make ~nprocs ~coherence ?faults () in
+  let cfg = Config.make ~nprocs ~coherence ?faults ?replication () in
   (B.Common.hooks ()).monitor_interval <- Some 10_000;
   let o, spans =
     Fun.protect
@@ -192,18 +194,93 @@ let test_exemplars_real () =
   in
   check_exemplars "health/crash-mix" m spans
 
+(* --- The monitor's totals are the span stream's ---------------------------- *)
+
+let mech_names = [| "local"; "cache"; "migrate"; "fallback" |]
+
+(* (count, sum) per mechanism, episode kind, (site, mechanism) and
+   request class, recomputed from the spans: dereferences are [Deref]
+   roots; the migration leg is a [Recv] under a [Deref] root, from the
+   root's entry; returns are [Return] roots; retry waits are [Backoff]
+   waits; recovery stalls are [Crash] and [Failover] durations. *)
+let span_totals spans =
+  let by_id = Hashtbl.create 4096 in
+  Array.iter (fun (s : Span.span) -> Hashtbl.replace by_id s.Span.id s) spans;
+  let tbl = Hashtbl.create 64 in
+  let add key v =
+    let n, sum = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0) in
+    Hashtbl.replace tbl key (n + 1, sum + v)
+  in
+  Array.iter
+    (fun (s : Span.span) ->
+      let dur = s.Span.t1 - s.Span.t0 in
+      match s.Span.kind with
+      | Span.Deref ->
+          add ("deref " ^ mech_names.(s.Span.b)) dur;
+          add (Printf.sprintf "site %d %s" s.Span.a mech_names.(s.Span.b)) dur
+      | Span.Recv -> (
+          match Hashtbl.find_opt by_id s.Span.parent with
+          | Some (r : Span.span) when r.Span.kind = Span.Deref ->
+              add "episode migration" (s.Span.t1 - r.Span.t0)
+          | _ -> ())
+      | Span.Return -> add "episode return" dur
+      | Span.Backoff -> add "episode retry_wait" s.Span.b
+      | Span.Crash | Span.Failover -> add "episode recovery_stall" dur
+      | Span.Request -> add ("request " ^ Span.request_class_name s.Span.a) dur
+      | _ -> ())
+    spans;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+let monitor_totals (m : Monitor.t) =
+  let row prefix (k, (s : Monitor.summary)) =
+    (prefix ^ k, (s.Monitor.count, s.Monitor.sum))
+  in
+  List.map (row "deref ") (Monitor.deref_summaries m)
+  @ List.map (row "episode ") (Monitor.episode_summaries m)
+  @ List.map (row "request ") (Monitor.request_summaries m)
+  @ List.map
+      (fun (sid, _, mech, s) -> row "site " (Printf.sprintf "%d %s" sid mech, s))
+      (Monitor.site_summaries m)
+  |> List.sort compare
+
+let check_totals name m spans =
+  check
+    Alcotest.(list (pair string (pair int int)))
+    (name ^ ": monitor totals = span totals")
+    (span_totals spans) (monitor_totals m)
+
+let test_totals () =
+  let m, spans =
+    monitored_spanned ~faults:(Config.Faults.mixed ~seed:1 ()) (spec "EM3D")
+  in
+  check_totals "em3d/mix" m spans;
+  let m, spans =
+    monitored_spanned
+      ~faults:(Config.Faults.crash_mix ~seed:2 ())
+      ~coherence:Config.Global (spec "Health")
+  in
+  check_totals "health/crash-mix" m spans;
+  let m, spans = monitored_spanned (spec "Bisort") in
+  check_totals "bisort/fault-free" m spans;
+  let m, spans =
+    monitored_spanned
+      ~faults:(Config.Faults.failstop_mix ~seed:5 ())
+      ~replication:Config.default_replica (spec "EM3D")
+  in
+  check_totals "em3d/failstop-mix" m spans
+
 (* --- Hop accounting: the chain tiles the episode -------------------------- *)
 
-let test_hop_tiling () =
-  let _, spans = spanned ~faults:(Config.Faults.mixed ~seed:1 ()) (spec "EM3D") in
+let check_hop_tiling name spans =
   let checked = ref 0 in
   Array.iter
     (fun (root : Span.span) ->
       if root.Span.parent = -1 && root.Span.kind = Span.Deref && root.Span.b = 2
       then begin
         (* a migrated dereference: its direct hop children are contiguous
-           and tile [first hop start, episode end] exactly — the per-hop
-           cycles the explain view prints sum to the episode latency *)
+           and tile the episode exactly, from the root's entry to its
+           end — the per-hop cycles the explain view prints sum to the
+           episode latency, with no "(compute)" residual *)
         let hops =
           Array.to_list spans
           |> List.filter (fun (s : Span.span) ->
@@ -211,24 +288,38 @@ let test_hop_tiling () =
           |> List.sort (fun (a : Span.span) b ->
                  compare (a.Span.t0, a.Span.id) (b.Span.t0, b.Span.id))
         in
-        check bool "migrate episode has hops" true (hops <> []);
+        check bool (name ^ " migrate episode has hops") true (hops <> []);
+        check int (name ^ " first hop starts at the root's t0") root.Span.t0
+          (List.hd hops).Span.t0;
         let rec contiguous t = function
           | [] -> t
           | (h : Span.span) :: rest ->
-              check int "hops contiguous" t h.Span.t0;
+              check int (name ^ " hops contiguous") t h.Span.t0;
               contiguous h.Span.t1 rest
         in
         let t_end = contiguous (List.hd hops).Span.t0 hops in
-        check int "last hop ends at the episode end" root.Span.t1 t_end;
+        check int (name ^ " last hop ends at the episode end") root.Span.t1
+          t_end;
         let hop_sum =
           List.fold_left (fun a (h : Span.span) -> a + h.Span.t1 - h.Span.t0) 0 hops
         in
-        check bool "hop cycles within the episode latency" true
-          (hop_sum <= root.Span.t1 - root.Span.t0);
+        check int (name ^ " hop cycles sum to the episode latency")
+          (root.Span.t1 - root.Span.t0) hop_sum;
         incr checked
       end)
     spans;
-  check bool "saw migrated episodes" true (!checked > 0)
+  check bool (name ^ " saw migrated episodes") true (!checked > 0)
+
+let test_hop_tiling () =
+  let _, spans = spanned ~faults:(Config.Faults.mixed ~seed:1 ()) (spec "EM3D") in
+  check_hop_tiling "em3d/mix" spans;
+  (* crash stalls before a migration: the source-side replay hop *)
+  let _, spans =
+    spanned
+      ~faults:(Config.Faults.crash_mix ~seed:2 ())
+      ~coherence:Config.Global (spec "Health")
+  in
+  check_hop_tiling "health/crash-mix" spans
 
 (* --- Flight recorder ------------------------------------------------------- *)
 
@@ -328,6 +419,8 @@ let suite =
       test_run_twice_byte_identical;
     Alcotest.test_case "exemplars name real episodes" `Quick
       test_exemplars_real;
+    Alcotest.test_case "monitor totals equal the span stream's" `Quick
+      test_totals;
     Alcotest.test_case "migration hops tile the episode" `Quick
       test_hop_tiling;
     Alcotest.test_case "flight recorder dumps on deadlock" `Quick
