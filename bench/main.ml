@@ -7,13 +7,12 @@
      dune exec bench/main.exe -- tables      # only the paper tables/figures
      dune exec bench/main.exe -- micro       # only the Bechamel suite
      dune exec bench/main.exe -- snapshots   # only BENCH_table2.json
-     dune exec bench/main.exe -- hostperf    # only BENCH_hostperf.json
      dune exec bench/main.exe -- latency     # only BENCH_latency.json
      dune exec bench/main.exe -- spans       # only BENCH_spans.json
      dune exec bench/main.exe -- serving     # only BENCH_serving.json
 
-   Host-side throughput (hostperf) should be run under dune's release
-   profile; the dev profile's checks distort the numbers.
+   Host-side throughput is measured by benchmark/ (its table2-p8
+   workload times the Table-2 suite at 8 processors).
 *)
 
 open Olden_benchmarks
@@ -296,23 +295,6 @@ let tables () =
   metrics_snapshots ~domains:1 ();
   rule ()
 
-(* Host-side throughput of the simulator itself over the Table-2 suite;
-   the machine-readable report feeds CI's warn-only wall-clock comparison
-   (see docs/PERFORMANCE.md). *)
-let hostperf ~domains () =
-  let module Json = Olden_trace.Json in
-  let report = Hostperf.run ~domains () in
-  Format.printf "%a" Hostperf.pp report;
-  let file = "BENCH_hostperf.json" in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_pretty_string (Hostperf.to_json report)));
-  Format.printf "host throughput: %s (%d benchmarks, %d processors)@." file
-    (List.length report.Hostperf.rows)
-    report.Hostperf.nprocs
-
 (* --- Bechamel microbenchmarks -------------------------------------------- *)
 
 let run_spec (s : Common.spec) ~scale ~nprocs =
@@ -410,11 +392,17 @@ let () =
   | "tables" -> tables ()
   | "micro" -> micro ()
   | "snapshots" -> metrics_snapshots ~domains ()
-  | "hostperf" -> hostperf ~domains ()
   | "latency" -> latency_snapshots ~domains ()
   | "spans" -> spans_census ~domains ()
   | "serving" -> serving_snapshots ~domains ()
-  | _ ->
+  | "all" ->
       tables ();
-      micro ());
+      micro ()
+  | other ->
+      (* an unknown mode must not fall through to the multi-minute "all" *)
+      Printf.eprintf
+        "bench: unknown mode %s (expected tables, micro, snapshots, latency, \
+         spans or serving)\n"
+        other;
+      exit 2);
   Format.printf "done.@."

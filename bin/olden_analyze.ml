@@ -12,7 +12,7 @@ module Site = Olden_runtime.Site
 module Trace_ev = Olden_trace.Trace
 module Span = Olden_span.Span
 
-let analyze file run_it procs coherence trace threshold profile spans_file =
+let analyze file run_it procs coherence threshold profile spans_file =
   let src =
     let ic = open_in file in
     let n = in_channel_length ic in
@@ -40,16 +40,12 @@ let analyze file run_it procs coherence trace threshold profile spans_file =
         sel.Olden_compiler.Heuristic.analysis.Olden_compiler.Analysis.loops;
       Format.printf "%a@." Olden_compiler.Heuristic.pp sel;
       if run_it then begin
-        let cfg =
-          let base = C.make ~nprocs:procs () in
-          { base with C.trace }
-        in
         let coherence =
           match C.coherence_of_string coherence with
           | Some c -> c
           | None -> C.Local
         in
-        let cfg = { cfg with C.coherence } in
+        let cfg = C.make ~nprocs:procs ~coherence () in
         let compiled = Olden_interp.Interp.compile ~selection:sel prog in
         let run_spanned f =
           (* causal spans ride along when --spans asks for them *)
@@ -130,9 +126,6 @@ let coherence_t =
     value & opt string "local"
     & info [ "c"; "coherence" ] ~docv:"SCHEME" ~doc:"Coherence scheme.")
 
-let trace_t =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Trace scheduler events to stderr.")
-
 let threshold_t =
   Arg.(
     value & opt float 0.
@@ -162,7 +155,7 @@ let cmd =
     (Cmd.info "olden-analyze" ~version:"1.0"
        ~doc:"Analyze (and optionally run) a mini-Olden program.")
     Term.(
-      const analyze $ file_t $ run_t $ procs_t $ coherence_t $ trace_t
-      $ threshold_t $ profile_t $ spans_t)
+      const analyze $ file_t $ run_t $ procs_t $ coherence_t $ threshold_t
+      $ profile_t $ spans_t)
 
 let () = exit (Cmd.eval cmd)

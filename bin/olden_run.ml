@@ -17,7 +17,6 @@
      recovery      Run under a crash schedule; report warm-restart work.
      failover      Run under a fail-stop schedule with home replication;
                    report per-victim promotion work.
-     hostperf      Measure the simulator's own host-side throughput.
      profile       Per-site dereference profile (folded stacks output).
      critical-path Longest dependency chain through the run.
      diff          Compare metrics/table/latency snapshots (CI gate).
@@ -82,8 +81,8 @@ let domains_t =
     & info [ "d"; "domains" ] ~docv:"N"
         ~doc:
           "Host OCaml domains: the size of the domain pool that runs a \
-           sweep's independent points concurrently (chaos, hostperf, \
-           serve --sweep).  Results are bit-identical for any value.")
+           sweep's independent points concurrently (chaos, serve \
+           --sweep).  Results are bit-identical for any value.")
 
 (* --domains is validated by hand (not via cmdliner's parser) so every
    subcommand shares the one usage-error path: message on stderr, exit 2. *)
@@ -513,71 +512,6 @@ let diff_cmd =
           BENCH_table2.json table) and exit non-zero when a benchmark's \
           cycles regressed beyond the tolerance or its verification broke.")
     Term.(const run $ base_t $ current_t $ tolerance_t $ warn_only_t)
-
-let hostperf_procs_t =
-  Arg.(
-    value & opt int 8
-    & info [ "p"; "procs" ] ~docv:"P"
-        ~doc:"Processor count (the suite's committed baseline uses 8).")
-
-let hostperf_cmd =
-  let run procs repeats out baseline domains =
-    let domains = check_domains domains in
-    let report = B.Hostperf.run ~nprocs:procs ~repeats ~domains () in
-    Format.printf "%a" B.Hostperf.pp report;
-    Option.iter
-      (fun file ->
-        with_out file (fun oc ->
-            output_string oc
-              (Olden_trace.Json.to_pretty_string (B.Hostperf.to_json report)));
-        Format.printf "host throughput: %s@." file)
-      out;
-    (* Comparison is advisory by contract: host timing is too noisy to
-       gate on, so a slow run warns and still exits 0. *)
-    Option.iter
-      (fun file ->
-        match B.Hostperf.of_file file with
-        | Error msg -> Format.eprintf "olden-run hostperf: %s@." msg
-        | Ok base ->
-            Format.printf "%a" (fun ppf -> B.Hostperf.pp_comparison ppf ~baseline:base)
-              report)
-      baseline;
-    if List.exists (fun (r : B.Hostperf.row) -> not r.B.Hostperf.verified)
-         report.B.Hostperf.rows
-    then exit 1
-  in
-  let repeats_t =
-    Arg.(
-      value & opt int 3
-      & info [ "r"; "repeats" ] ~docv:"N"
-          ~doc:"Runs per benchmark; the best (minimum) time is reported.")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) (Some "BENCH_hostperf.json")
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the olden-hostperf/v1 JSON report to $(docv).")
-  in
-  let baseline_t =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Also print a warn-only wall-clock comparison against a \
-             committed hostperf snapshot (never fails: host noise).")
-  in
-  Cmd.v
-    (Cmd.info "hostperf"
-       ~doc:
-         "Measure the simulator's own host-side throughput over the Table-2 \
-          suite: wall-clock per benchmark, simulated cycles/sec and \
-          events/sec; writes BENCH_hostperf.json.  Run under dune's release \
-          profile for representative numbers.")
-    Term.(
-      const run $ hostperf_procs_t $ repeats_t $ out_t $ baseline_t
-      $ domains_t)
 
 (* --- Chaos harness ------------------------------------------------------- *)
 
@@ -1703,7 +1637,6 @@ let main =
       chaos_cmd;
       recovery_cmd;
       failover_cmd;
-      hostperf_cmd;
       trace_cmd;
       spans_cmd;
       explain_cmd;

@@ -1,311 +1,7 @@
-(* Host-side throughput harness: how fast does the *simulator itself* run?
+(* Simulated operation events of a run, the denominator of the host
+   throughput figures that benchmark/ reports. *)
 
-   Everything else in this library measures the simulated machine (cycles
-   of the modelled CM-5); this module measures the host — wall-clock
-   seconds to simulate the Table-2 suite, and the derived throughputs
-   simulated-cycles/second and simulated-events/second.  These numbers
-   are what the fast-path work on the dereference engine moves; the
-   simulated results themselves must not move at all (that is the
-   BENCH_table2.json gate's job).
-
-   Timing uses the monotonic clock and reports the best of [repeats]
-   runs per benchmark: the minimum is the standard estimator for "how
-   fast can this go", being least polluted by GC pauses, scheduler
-   preemption, and cache warm-up. *)
-
-module C = Olden_config
-module Json = Olden_trace.Json
-
-type row = {
-  name : string;
-  scale : int;
-  wall_seconds : float; (* best of [repeats] *)
-  sim_cycles : int; (* the benchmark's measured (Table 2) cycles *)
-  sim_events : int; (* simulated operation events, see [events_of] *)
-  verified : bool;
-}
-
-type report = {
-  nprocs : int;
-  repeats : int;
-  domains : int; (* host domains the suite's runs were spread over *)
-  rows : row list;
-  total_wall : float; (* sum of per-benchmark best times *)
-  total_cycles : int;
-  total_events : int;
-  suite_wall : float; (* wall time of the whole sweep, all repeats *)
-  pool_busy : float array; (* per-domain seconds spent running jobs *)
-  pool_wait : float array; (* per-domain seconds idle (startup + tail) *)
-}
-
-(* One "event" is one simulated operation the runtime dispatched: a
-   dereference (cacheable or migration-mechanism), a thread movement, a
-   future operation, or a message.  The sum tracks how much discrete-event
-   work a run asked of the simulator, independent of the cost model. *)
 let events_of (st : Stats.t) =
   st.Stats.migrations + st.Stats.returns + st.Stats.futures + st.Stats.touches
   + st.Stats.steals + st.Stats.local_refs + st.Stats.cacheable_reads
   + st.Stats.cacheable_writes + st.Stats.messages
-
-let clock = Unix.gettimeofday
-
-let time_spec (s : Common.spec) ~nprocs ~repeats =
-  let cfg = C.make ~nprocs () in
-  let scale = s.Common.default_scale in
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to max 1 repeats do
-    let t0 = clock () in
-    let o = s.Common.run cfg ~scale in
-    let dt = clock () -. t0 in
-    if dt < !best then best := dt;
-    last := Some o
-  done;
-  let o = Option.get !last in
-  {
-    name = s.Common.name;
-    scale;
-    wall_seconds = !best;
-    sim_cycles = Common.measured_cycles s o;
-    sim_events = events_of o.Common.total_stats;
-    verified = o.Common.ok;
-  }
-
-(* Each benchmark (with its repeats) is one sweep point; with [domains]
-   > 1 the points run concurrently on a domain pool, which is where the
-   host-side speedup of the parallel sweep driver shows up.  Per-point
-   numbers are unchanged by pooling (each job times itself), but they do
-   get noisier under co-scheduling — the committed baselines are always
-   taken at [domains = 1]. *)
-let run ?(nprocs = 8) ?(repeats = 3) ?(domains = 1) () =
-  let points = List.map (fun s -> (s.Common.name, s)) Registry.specs in
-  let results, pool =
-    Olden_parallel.Sweep.run ~domains
-      (fun ~label:_ s -> time_spec s ~nprocs ~repeats)
-      points
-  in
-  let rows = List.map (fun p -> p.Olden_parallel.Sweep.value) results in
-  let total_wall = List.fold_left (fun a r -> a +. r.wall_seconds) 0. rows in
-  let total_cycles = List.fold_left (fun a r -> a + r.sim_cycles) 0 rows in
-  let total_events = List.fold_left (fun a r -> a + r.sim_events) 0 rows in
-  {
-    nprocs;
-    repeats;
-    domains = pool.Olden_parallel.Domain_pool.domains;
-    rows;
-    total_wall;
-    total_cycles;
-    total_events;
-    suite_wall = pool.Olden_parallel.Domain_pool.wall_seconds;
-    pool_busy = pool.Olden_parallel.Domain_pool.busy_seconds;
-    pool_wait = pool.Olden_parallel.Domain_pool.wait_seconds;
-  }
-
-(* --- JSON ---------------------------------------------------------------- *)
-
-let schema = "olden-hostperf/v1"
-
-let row_to_json r =
-  Json.Obj
-    [
-      ("benchmark", Json.String r.name);
-      ("scale", Json.Int r.scale);
-      ("wall_seconds", Json.Float r.wall_seconds);
-      ("sim_cycles", Json.Int r.sim_cycles);
-      ("sim_events", Json.Int r.sim_events);
-      ( "cycles_per_sec",
-        Json.Float (float_of_int r.sim_cycles /. r.wall_seconds) );
-      ( "events_per_sec",
-        Json.Float (float_of_int r.sim_events /. r.wall_seconds) );
-      ("verified", Json.Bool r.verified);
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.String schema);
-      ("nprocs", Json.Int t.nprocs);
-      ("repeats", Json.Int t.repeats);
-      ("domains", Json.Int t.domains);
-      ("benchmarks", Json.List (List.map row_to_json t.rows));
-      ( "suite",
-        Json.Obj
-          [
-            ("wall_seconds", Json.Float t.suite_wall);
-            ( "per_domain",
-              Json.List
-                (List.init (Array.length t.pool_busy) (fun i ->
-                     Json.Obj
-                       [
-                         ("busy_seconds", Json.Float t.pool_busy.(i));
-                         ("wait_seconds", Json.Float t.pool_wait.(i));
-                       ])) );
-          ] );
-      ( "aggregate",
-        Json.Obj
-          [
-            ("wall_seconds", Json.Float t.total_wall);
-            ("sim_cycles", Json.Int t.total_cycles);
-            ("sim_events", Json.Int t.total_events);
-            ( "cycles_per_sec",
-              Json.Float (float_of_int t.total_cycles /. t.total_wall) );
-            ( "events_per_sec",
-              Json.Float (float_of_int t.total_events /. t.total_wall) );
-          ] );
-    ]
-
-let of_json j =
-  let open Json in
-  let str k o = Option.bind (member k o) string_value in
-  let int_m k o = Option.bind (member k o) int_value in
-  let flt k o =
-    match member k o with
-    | Some (Float f) -> Some f
-    | Some (Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  match str "schema" j with
-  | Some s when String.equal s schema ->
-      let rows =
-        match member "benchmarks" j with
-        | Some (List bs) ->
-            List.filter_map
-              (fun b ->
-                match
-                  ( str "benchmark" b,
-                    int_m "scale" b,
-                    flt "wall_seconds" b,
-                    int_m "sim_cycles" b,
-                    int_m "sim_events" b )
-                with
-                | Some name, Some scale, Some w, Some c, Some e ->
-                    Some
-                      {
-                        name;
-                        scale;
-                        wall_seconds = w;
-                        sim_cycles = c;
-                        sim_events = e;
-                        verified =
-                          (match member "verified" b with
-                          | Some (Bool v) -> v
-                          | _ -> true);
-                      }
-                | _ -> None)
-              bs
-        | _ -> []
-      in
-      let total_wall =
-        List.fold_left (fun a r -> a +. r.wall_seconds) 0. rows
-      in
-      (* the suite block is absent from pre-parallel baselines; default
-         to a serial pool so comparisons keep working *)
-      let suite = member "suite" j in
-      let busy, wait =
-        match Option.bind suite (member "per_domain") with
-        | Some (List ds) ->
-            ( Array.of_list
-                (List.filter_map (fun d -> flt "busy_seconds" d) ds),
-              Array.of_list
-                (List.filter_map (fun d -> flt "wait_seconds" d) ds) )
-        | _ -> ([||], [||])
-      in
-      Ok
-        {
-          nprocs = Option.value ~default:0 (int_m "nprocs" j);
-          repeats = Option.value ~default:0 (int_m "repeats" j);
-          domains = Option.value ~default:1 (int_m "domains" j);
-          rows;
-          total_wall;
-          total_cycles = List.fold_left (fun a r -> a + r.sim_cycles) 0 rows;
-          total_events = List.fold_left (fun a r -> a + r.sim_events) 0 rows;
-          suite_wall =
-            Option.value ~default:total_wall
-              (Option.bind suite (flt "wall_seconds"));
-          pool_busy = busy;
-          pool_wait = wait;
-        }
-  | Some s -> Error (Printf.sprintf "unexpected schema %S (want %S)" s schema)
-  | None -> Error "not an olden-hostperf snapshot (no schema field)"
-
-let of_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match
-            Json.of_string (really_input_string ic (in_channel_length ic))
-          with
-          | exception _ -> Error (path ^ ": not valid JSON")
-          | j -> of_json j)
-
-(* --- Reporting ----------------------------------------------------------- *)
-
-let mega f = f /. 1e6
-
-let pp ppf t =
-  Format.fprintf ppf
-    "host throughput, %d processor(s), best of %d run(s) per benchmark:@."
-    t.nprocs t.repeats;
-  Format.fprintf ppf "  %-11s %10s %14s %12s %10s %10s@." "benchmark" "wall ms"
-    "sim cycles" "sim events" "Mcyc/s" "Mev/s";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-11s %10.1f %14s %12s %10.2f %10.2f%s@." r.name
-        (1000. *. r.wall_seconds)
-        (Common.commas r.sim_cycles)
-        (Common.commas r.sim_events)
-        (mega (float_of_int r.sim_cycles /. r.wall_seconds))
-        (mega (float_of_int r.sim_events /. r.wall_seconds))
-        (if r.verified then "" else "  VERIFICATION FAILED"))
-    t.rows;
-  Format.fprintf ppf "  %-11s %10.1f %14s %12s %10.2f %10.2f@." "TOTAL"
-    (1000. *. t.total_wall)
-    (Common.commas t.total_cycles)
-    (Common.commas t.total_events)
-    (mega (float_of_int t.total_cycles /. t.total_wall))
-    (mega (float_of_int t.total_events /. t.total_wall));
-  if t.domains > 1 then begin
-    let busy = Array.fold_left ( +. ) 0. t.pool_busy in
-    Format.fprintf ppf
-      "  suite on %d host domains: %.1f ms wall (%.0f%% parallel \
-       efficiency)@."
-      t.domains
-      (1000. *. t.suite_wall)
-      (100. *. busy /. (float_of_int t.domains *. t.suite_wall));
-    Array.iteri
-      (fun i b ->
-        Format.fprintf ppf "    domain %d: %6.1f ms busy, %6.1f ms waiting@."
-          i (1000. *. b)
-          (1000. *. t.pool_wait.(i)))
-      t.pool_busy
-  end
-
-(* Wall-clock comparison against a committed baseline.  Host timing is
-   noisy (different machines, load, thermal state), so this never gates:
-   the caller prints the comparison and exits 0 regardless — the warn-only
-   contract the CI step relies on. *)
-let pp_comparison ppf ~(baseline : report) (current : report) =
-  Format.fprintf ppf
-    "wall-clock vs baseline (speedup = baseline / current; >1.00x is \
-     faster; host noise means this is advisory only):@.";
-  List.iter
-    (fun (r : row) ->
-      match List.find_opt (fun (b : row) -> b.name = r.name) baseline.rows with
-      | None -> Format.fprintf ppf "  %-11s (no baseline row)@." r.name
-      | Some b ->
-          let ratio = b.wall_seconds /. r.wall_seconds in
-          Format.fprintf ppf "  %-11s %8.1f ms -> %8.1f ms   %5.2fx%s@." r.name
-            (1000. *. b.wall_seconds)
-            (1000. *. r.wall_seconds)
-            ratio
-            (if ratio < 0.9 then "  WARN: slower than baseline" else ""))
-    current.rows;
-  let agg = baseline.total_wall /. current.total_wall in
-  Format.fprintf ppf "  %-11s %8.1f ms -> %8.1f ms   %5.2fx%s@." "TOTAL"
-    (1000. *. baseline.total_wall)
-    (1000. *. current.total_wall)
-    agg
-    (if agg < 0.9 then "  WARN: slower than baseline" else "")

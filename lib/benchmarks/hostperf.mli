@@ -1,60 +1,5 @@
-(** Host-side throughput harness.
-
-    Measures the simulator itself: wall-clock seconds to run the Table-2
-    suite on the host, and the derived throughputs simulated-cycles/sec
-    and simulated-events/sec.  Simulated results are untouched by design;
-    this is the instrument that sees the dereference fast-path work.
-
-    The JSON snapshot (schema ["olden-hostperf/v1"], written to
-    [BENCH_hostperf.json] by the harness and the [olden-run hostperf]
-    subcommand) is documented in docs/PERFORMANCE.md. *)
-
-type row = {
-  name : string;
-  scale : int;
-  wall_seconds : float;  (** best of [repeats] runs *)
-  sim_cycles : int;  (** the benchmark's measured (Table 2) cycles *)
-  sim_events : int;  (** simulated operation events, see {!events_of} *)
-  verified : bool;
-}
-
-type report = {
-  nprocs : int;
-  repeats : int;
-  domains : int;
-      (** host domains the suite's benchmark jobs were spread over *)
-  rows : row list;
-  total_wall : float;  (** sum of per-benchmark best times *)
-  total_cycles : int;
-  total_events : int;
-  suite_wall : float;
-      (** wall time of the whole sweep (all repeats, submission to last
-          join) — with [domains > 1] this is what shrinks while
-          [total_wall] stays roughly flat *)
-  pool_busy : float array;  (** per-domain seconds spent running jobs *)
-  pool_wait : float array;
-      (** per-domain seconds idle (startup and tail of the sweep) *)
-}
+(** The event count that host-throughput figures are quoted against. *)
 
 val events_of : Stats.t -> int
 (** Simulated operation events of a run: dereferences (both mechanisms),
     thread movements, future operations, and messages. *)
-
-val run : ?nprocs:int -> ?repeats:int -> ?domains:int -> unit -> report
-(** Time the whole Table-2 suite; defaults: 8 processors, best of 3,
-    serial.  With [domains > 1] each benchmark (with its repeats) is one
-    job on an {!Olden_parallel.Domain_pool}; per-row numbers are then
-    noisier under co-scheduling, so committed baselines are taken
-    serially. *)
-
-val to_json : report -> Olden_trace.Json.t
-val of_json : Olden_trace.Json.t -> (report, string) result
-val of_file : string -> (report, string) result
-
-val pp : Format.formatter -> report -> unit
-(** Human-readable throughput table. *)
-
-val pp_comparison : Format.formatter -> baseline:report -> report -> unit
-(** Per-benchmark and aggregate wall-clock ratios against a baseline
-    report.  Advisory only — host timing is noisy; callers must not gate
-    on it (the CI step is warn-only by contract). *)

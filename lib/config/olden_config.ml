@@ -372,7 +372,6 @@ type t = {
          the returning thread wrote, instead of flushing *)
   sequential : bool;
       (* baseline mode: one processor, no pointer tests, no future overhead *)
-  trace : bool; (* emit per-event log lines via Logs *)
   seed : int;
   faults : fault_spec option;
       (* None: the reliable network the paper assumes — bit-identical to
@@ -394,7 +393,6 @@ let default =
     handler_contention = false;
     return_invalidate_refinement = true;
     sequential = false;
-    trace = false;
     seed = 0x01de5 land 0xffff;
     faults = None;
     retry = default_retry;
@@ -403,7 +401,7 @@ let default =
 
 let make ?(nprocs = 32) ?(costs = default_costs) ?(coherence = Local)
     ?(policy = Heuristic) ?(handler_contention = false)
-    ?(return_invalidate_refinement = true) ?(trace = false) ?(seed = 42)
+    ?(return_invalidate_refinement = true) ?(seed = 42)
     ?faults ?(retry = default_retry) ?replication () =
   (match (faults, replication) with
   | Some f, None when f.failstop > 0. ->
@@ -423,7 +421,6 @@ let make ?(nprocs = 32) ?(costs = default_costs) ?(coherence = Local)
     handler_contention;
     return_invalidate_refinement;
     sequential = false;
-    trace;
     seed;
     faults;
     retry;

@@ -8,7 +8,6 @@
    be interleaved with computation, which matches the CM-5's interrupt-driven
    active messages closely enough for the ratios we reproduce. *)
 
-module Trace = Olden_trace.Trace
 module Span = Olden_span.Span
 
 type t = {
@@ -156,18 +155,9 @@ let stall t proc cycles =
 
 (* --- Fault bookkeeping helpers -------------------------------------- *)
 
-(* Trace events for faults reuse the emitter's thread/site context.  Every
-   call site guards on [Trace.is_on] itself, so the event's kind is not
-   even built while tracing is off. *)
-let emit_fault ~proc ~time kind =
-  Trace.emit
-    { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
-
 let note_drop t ~dst ~time ~attempt ~outage =
   t.stats.Stats.msg_drops <- t.stats.Stats.msg_drops + 1;
   if outage then t.stats.Stats.outage_drops <- t.stats.Stats.outage_drops + 1;
-  if Trace.is_on () then
-    emit_fault ~proc:dst ~time (Trace.Fault_drop { dst; attempt; outage });
   if Span.is_on () then
     Span.child ~kind:Span.Drop ~proc:dst ~t0:time ~t1:time ~a:attempt
       ~b:(if outage then 1 else 0)
@@ -175,8 +165,6 @@ let note_drop t ~dst ~time ~attempt ~outage =
 let note_delay t ~dst ~time ~cycles =
   if cycles > 0 then begin
     t.stats.Stats.msg_delays <- t.stats.Stats.msg_delays + 1;
-    if Trace.is_on () then
-      emit_fault ~proc:dst ~time (Trace.Fault_delay { dst; cycles });
     if Span.is_on () then
       Span.child ~kind:Span.Delay ~proc:dst ~t0:(time - cycles) ~t1:time
         ~a:cycles ~b:0
@@ -193,7 +181,6 @@ let note_suppressed t ~dst ~time =
   t.stats.Stats.msg_duplicates <- t.stats.Stats.msg_duplicates + 1;
   t.stats.Stats.duplicates_suppressed <-
     t.stats.Stats.duplicates_suppressed + 1;
-  if Trace.is_on () then emit_fault ~proc:dst ~time (Trace.Fault_dup { dst });
   if Span.is_on () then
     Span.child ~kind:Span.Dup ~proc:dst ~t0:time ~t1:time ~a:0 ~b:0
 
@@ -209,8 +196,6 @@ let note_retry t plan ~dst ~klass ~time ~attempt =
   let wait = Fault_plan.retry_wait plan ~attempt in
   t.stats.Stats.retries <- t.stats.Stats.retries + 1;
   t.stats.Stats.retry_cycles <- t.stats.Stats.retry_cycles + wait;
-  if Trace.is_on () then
-    emit_fault ~proc:dst ~time (Trace.Retry { dst; attempt; wait });
   if Span.is_on () then
     Span.child ~kind:Span.Backoff ~proc:dst ~t0:time ~t1:(time + wait)
       ~a:attempt ~b:wait;
@@ -455,7 +440,7 @@ let thread_delivery t ~dst ~klass ~send_time ~give_up_after =
                 ~attempt:!j
             in
             if ack.Fault_plan.dropped && !j + 1 < max_attempts then begin
-              t.stats.Stats.msg_drops <- t.stats.Stats.msg_drops + 1;
+              note_drop t ~dst ~time:arrive ~attempt:!j ~outage:false;
               t.stats.Stats.retries <- t.stats.Stats.retries + 1;
               note_duplicate t ~dst ~time:arrive;
               incr j

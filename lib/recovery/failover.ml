@@ -36,7 +36,6 @@
 
 module C = Olden_config
 module Cache = Olden_cache.Cache_system
-module Trace = Olden_trace.Trace
 module G = Olden_config.Geometry
 
 type proc_state = {
@@ -90,11 +89,6 @@ let failstops t =
 let note_threads_lost t ~proc ~count =
   t.procs.(proc).threads_lost <- t.procs.(proc).threads_lost + count
 
-let emit ~proc ~time kind =
-  if Trace.is_on () then
-    Trace.emit
-      { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
-
 (* Home pages the victim was serving for [owner]: everything its bump
    allocator handed out, rounded up to whole pages — that is what the
    mirror holds and what the successor must start serving. *)
@@ -132,7 +126,6 @@ let fail_over t ~victim =
   (* the victim's volatile cached state dies with it *)
   let lost = Cache.drop_processor_state t.cache ~proc:victim in
   ps.cached_lost <- ps.cached_lost + lost;
-  emit ~proc:victim ~time:died (Trace.Failstop { pages_lost = lost });
   (* promote the backup: every owner the victim was serving re-homes,
      including the victim itself and any earlier victims it had been
      serving as a successor *)
@@ -148,7 +141,6 @@ let fail_over t ~victim =
   (* the successor installs the mirror as the live copy: a table rebuild,
      priced like the whole-cache invalidate *)
   Machine.advance t.machine successor c.C.cache_flush;
-  let homes = ref 0 in
   (match t.cfg.C.coherence with
   | C.Global ->
       (* announce the promotion to every live processor so requests stop
@@ -156,7 +148,6 @@ let fail_over t ~victim =
          request/reply riding the same lossy network *)
       for p = 0 to t.cfg.C.nprocs - 1 do
         if p <> successor && not (Machine.is_dead t.machine p) then begin
-          incr homes;
           ps.messages <- ps.messages + 1;
           s.Stats.failover_messages <- s.Stats.failover_messages + 1;
           ignore
@@ -203,9 +194,6 @@ let fail_over t ~victim =
       ~t0
       ~t1:(Machine.now t.machine successor)
       ~a:!moved ~b:victim;
-  emit ~proc:successor
-    ~time:(Machine.now t.machine successor)
-    (Trace.Failover { victim; pages = !moved; homes = !homes });
   successor
 
 (* Is a fail-stop death due on [proc] right now?  Forced orders (tests)

@@ -36,7 +36,6 @@ module C = Olden_config
 module Cache = Olden_cache.Cache_system
 module Translation = Olden_cache.Translation
 module Write_log = Olden_cache.Write_log
-module Trace = Olden_trace.Trace
 
 type proc_state = {
   mutable crashes : int;
@@ -84,11 +83,6 @@ let crashes t ~proc = t.procs.(proc).crashes
 let last_crash_time t ~proc = t.procs.(proc).last_crash_time
 let total_crashes t = Array.fold_left (fun a p -> a + p.crashes) 0 t.procs
 
-let emit ~proc ~time kind =
-  if Trace.is_on () then
-    Trace.emit
-      { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
-
 (* The warm restart itself.  [log] is the write log of the thread running
    on the victim at crash time.  Write-through already placed both the
    data and the home-side knowledge (sharer registrations, timestamp
@@ -120,7 +114,6 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
   let lost = Cache.drop_processor_state t.cache ~proc in
   ps.pages_lost <- ps.pages_lost + lost;
   s.Stats.pages_lost_in_crash <- s.Stats.pages_lost_in_crash + lost;
-  emit ~proc ~time:t0 (Trace.Crash { pages_lost = lost });
   (* restart work: rebuild the empty table (charged as the whole-cache
      invalidate the local scheme already prices) *)
   Machine.advance t.machine proc c.C.cache_flush;
@@ -152,9 +145,7 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
   s.Stats.recovery_stall_cycles <- s.Stats.recovery_stall_cycles + stall;
   if span_on then
     Span.exit_emit ~id:sid ~prev:sprev ~kind:Span.Crash ~proc ~t0
-      ~t1:(Machine.now t.machine proc) ~a:lost ~b:!homes;
-  emit ~proc ~time:(Machine.now t.machine proc)
-    (Trace.Recover { homes = !homes; stall })
+      ~t1:(Machine.now t.machine proc) ~a:lost ~b:!homes
 
 (* Is a crash due on [proc] right now?  Forced orders (tests) fire first,
    one per crash; otherwise the seeded schedule decides, at most once per

@@ -241,14 +241,6 @@ let push_work t thread k cell =
 let now t = Machine.now t.machine t.cur_proc
 let advance t cycles = Machine.advance t.machine t.cur_proc cycles
 
-(* Low-tech event tracing, enabled by [cfg.trace]; the message is built
-   lazily, and call sites guard on [t.cfg.C.trace] themselves so not even
-   the message closure is allocated when tracing is off. *)
-let trace t msg =
-  if t.cfg.C.trace then
-    Printf.eprintf "[t=%8d p=%2d tid=%d] %s\n%!" (now t) t.cur_proc
-      t.cur_thread.tid (msg ())
-
 (* Structured event emission (Olden_trace).  Every call site is guarded
    on [Trace.is_on] so nothing is allocated when no sink is installed. *)
 let emit t ?(site = -1) kind =
@@ -291,10 +283,6 @@ let resolve t (cell : fut) v =
   | Done _ -> failwith "Engine: future resolved twice"
   | Pending waiters ->
       cell.state <- Done v;
-      if t.cfg.C.trace then
-        trace t (fun () ->
-            Printf.sprintf "resolve fut#%d (%d waiter(s))" cell.fid
-              (List.length waiters));
       if Trace.is_on () then
         emit t
           (Trace.Future_resolve
@@ -365,8 +353,6 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
   s.Stats.migrations <- s.Stats.migrations + 1;
   let thread = t.cur_thread in
   let source = t.cur_proc in
-  if t.cfg.C.trace then
-    trace t (fun () -> Printf.sprintf "migrate -> %d" target);
   (* an outgoing migration is a release point *)
   Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:thread.log;
   advance t c.C.migrate_send;
@@ -673,8 +659,6 @@ let try_migrate t ~(site : Site.t) ~home =
       s.Stats.migration_fallbacks <- s.Stats.migration_fallbacks + 1;
       site.Site.fallbacks <- site.Site.fallbacks + 1;
       Machine.stall t.machine t.cur_proc penalty;
-      if Trace.is_on () then
-        emit t ~site:site.Site.sid (Trace.Migrate_fallback { home; attempts });
       if Span.is_on () then begin
         Span.child ~kind:Span.Stall ~proc:t.cur_proc ~t0:(now t - penalty)
           ~t1:(now t) ~a:penalty ~b:attempts;
@@ -808,8 +792,6 @@ let future_arm t (k : (fut, unit) Effect.Deep.continuation) =
       resolver_log = None;
     }
   in
-  if t.cfg.C.trace then
-    trace t (fun () -> Printf.sprintf "future fut#%d spawned" cell.fid);
   if Trace.is_on () then emit t (Trace.Future_spawn { fid = cell.fid });
   (* Save the return continuation on this processor's work list.  If it
      is stolen it becomes a new thread (with a fresh write log); if the
@@ -839,8 +821,6 @@ let touch_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
           let s = stats t in
           s.Stats.touches <- s.Stats.touches + 1;
           advance t c.C.future_touch;
-          if t.cfg.C.trace then
-            trace t (fun () -> Printf.sprintf "touch fut#%d: park" cell.fid);
           if Trace.is_on () then
             emit t (Trace.Future_touch { fid = cell.fid; parked = true });
           let label =
@@ -1174,9 +1154,6 @@ let step t =
       let k = Work_list.top_k wl in
       let cell = Work_list.top_v wl in
       Work_list.drop wl;
-      if t.cfg.C.trace then
-        Printf.eprintf "[t=%8d p=%2d] steal (tid=%d)\n%!"
-          (Machine.now t.machine proc) proc thread.tid;
       let s = stats t in
       s.Stats.steals <- s.Stats.steals + 1;
       Machine.advance t.machine proc (costs t).C.steal;

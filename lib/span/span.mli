@@ -19,7 +19,9 @@ type kind =
   | Service  (** hop: running the continuation at the target *)
   | Cache_service  (** hop: software-cache service after a fallback *)
   | Stall  (** hop: sender stalled; a = penalty, b = attempts *)
-  | Drop  (** event: message dropped; a = attempt, b = 1 if outage *)
+  | Drop
+      (** event: message dropped, lost thread-transfer acknowledgements
+          included; a = attempt, b = 1 if outage.  One per [msg_drops]. *)
   | Backoff  (** event: retry backoff; a = attempt, b = wait *)
   | Delay  (** event: fault-injected latency; a = cycles *)
   | Dup  (** event: duplicate delivery suppressed *)

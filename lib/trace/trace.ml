@@ -15,7 +15,10 @@
    the cache and directory layers run beneath it and pick the stamps up
    from the context set by {!set_thread} / {!set_site} (both writes are
    themselves guarded, so the context costs nothing when tracing is
-   off). *)
+   off).
+
+   Fault, fallback, crash and failover activity is recorded only as
+   spans (lib/span), not here. *)
 
 type kind =
   | Migrate_send of { target : int }
@@ -37,15 +40,6 @@ type kind =
   | Dir_release of { page : int; ts : int }
   | Remote_alloc of { home : int; words : int }
   | Phase_mark of string
-  | Fault_drop of { dst : int; attempt : int; outage : bool }
-  | Fault_delay of { dst : int; cycles : int }
-  | Fault_dup of { dst : int }
-  | Retry of { dst : int; attempt : int; wait : int }
-  | Migrate_fallback of { home : int; attempts : int }
-  | Crash of { pages_lost : int }
-  | Recover of { homes : int; stall : int }
-  | Failstop of { pages_lost : int }
-  | Failover of { victim : int; pages : int; homes : int }
 
 type event = {
   time : int;  (* simulated cycles *)
@@ -151,15 +145,6 @@ let kind_name = function
   | Dir_release _ -> "dir_release"
   | Remote_alloc _ -> "remote_alloc"
   | Phase_mark _ -> "phase"
-  | Fault_drop _ -> "fault_drop"
-  | Fault_delay _ -> "fault_delay"
-  | Fault_dup _ -> "fault_dup"
-  | Retry _ -> "retry"
-  | Migrate_fallback _ -> "migrate_fallback"
-  | Crash _ -> "crash"
-  | Recover _ -> "recover"
-  | Failstop _ -> "failstop"
-  | Failover _ -> "failover"
 
 (* Payload fields beyond the common stamps, in a fixed order. *)
 let kind_args = function
@@ -193,24 +178,6 @@ let kind_args = function
   | Remote_alloc { home; words } ->
       [ ("home", Json.Int home); ("words", Json.Int words) ]
   | Phase_mark name -> [ ("name", Json.String name) ]
-  | Fault_drop { dst; attempt; outage } ->
-      [ ("dst", Json.Int dst); ("attempt", Json.Int attempt);
-        ("outage", Json.Bool outage) ]
-  | Fault_delay { dst; cycles } ->
-      [ ("dst", Json.Int dst); ("cycles", Json.Int cycles) ]
-  | Fault_dup { dst } -> [ ("dst", Json.Int dst) ]
-  | Retry { dst; attempt; wait } ->
-      [ ("dst", Json.Int dst); ("attempt", Json.Int attempt);
-        ("wait", Json.Int wait) ]
-  | Migrate_fallback { home; attempts } ->
-      [ ("home", Json.Int home); ("attempts", Json.Int attempts) ]
-  | Crash { pages_lost } | Failstop { pages_lost } ->
-      [ ("pages_lost", Json.Int pages_lost) ]
-  | Recover { homes; stall } ->
-      [ ("homes", Json.Int homes); ("stall", Json.Int stall) ]
-  | Failover { victim; pages; homes } ->
-      [ ("victim", Json.Int victim); ("pages", Json.Int pages);
-        ("homes", Json.Int homes) ]
 
 (* One line per event: the JSONL schema (docs/OBSERVABILITY.md). *)
 let event_json ev =

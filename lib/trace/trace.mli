@@ -9,7 +9,11 @@
     so with no sink installed nothing is allocated — only one boolean is
     read.  Event streams are deterministic: the engine is a pure
     function of the program and configuration, and events are emitted in
-    scheduling order. *)
+    scheduling order.
+
+    Fault, fallback, crash and failover activity is not in this stream:
+    each is recorded once, as a span of lib/span ([Drop], [Delay],
+    [Dup], [Backoff], [Fallback], [Crash], [Failover]). *)
 
 type kind =
   | Migrate_send of { target : int }
@@ -37,25 +41,6 @@ type kind =
       (** home directory timestamp bump at a release *)
   | Remote_alloc of { home : int; words : int }
   | Phase_mark of string
-  | Fault_drop of { dst : int; attempt : int; outage : bool }
-      (** delivery attempt [attempt] toward [dst] was lost *)
-  | Fault_delay of { dst : int; cycles : int }
-      (** a delivery arrived [cycles] late *)
-  | Fault_dup of { dst : int }  (** a delivery arrived twice *)
-  | Retry of { dst : int; attempt : int; wait : int }
-      (** the sender waited [wait] cycles, then retransmitted *)
-  | Migrate_fallback of { home : int; attempts : int }
-      (** migration to [home] gave up after [attempts]; caching instead *)
-  | Crash of { pages_lost : int }
-      (** [proc] crashed, wiping [pages_lost] live cached page entries *)
-  | Recover of { homes : int; stall : int }
-      (** [proc] completed warm restart, announcing to [homes] homes and
-          stalling for [stall] cycles *)
-  | Failstop of { pages_lost : int }
-      (** [proc] died for good, dropping [pages_lost] live cached pages *)
-  | Failover of { victim : int; pages : int; homes : int }
-      (** [proc] was promoted: [pages] home pages of [victim] re-homed
-          here, [homes] live processors notified *)
 
 type event = {
   time : int;  (** simulated cycles on [proc]'s clock *)

@@ -3,7 +3,8 @@
    exemplar trace ids naming real completed episodes whose root duration
    is the recorded latency, the monitor's latency totals equal to the
    same totals recomputed from the collected spans, exact hop tiling of
-   migration episodes from the root's entry, the flight-recorder dump on
+   migration episodes from the root's entry, every fault counter
+   recomputed from the fault spans, the flight-recorder dump on
    a forced deadlock, and zero perturbation of the simulation whether
    tracing is on or off. *)
 
@@ -35,10 +36,10 @@ let spec name =
     B.Registry.specs
 
 (* One spanned run: fresh site registry so site ids are reproducible. *)
-let spanned ?faults ?(nprocs = 8) ?(coherence = Config.Local)
+let spanned ?faults ?replication ?(nprocs = 8) ?(coherence = Config.Local)
     (s : B.Common.spec) =
   Site.reset ();
-  let cfg = Config.make ~nprocs ~coherence ?faults () in
+  let cfg = Config.make ~nprocs ~coherence ?faults ?replication () in
   let o, spans =
     Span.collect (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
   in
@@ -321,6 +322,84 @@ let test_hop_tiling () =
   in
   check_hop_tiling "health/crash-mix" spans
 
+(* --- Fault census: every counted fault has its span ------------------------ *)
+
+(* The spans are the only record of fault, fallback, crash and failover
+   activity, so each Stats counter of that activity must be recomputable
+   from them.  Background acknowledgement retransmissions of a thread
+   transfer wait nothing, so they count a retry but emit no [Backoff]. *)
+let check_fault_census name (st : Stats.t) spans =
+  let count k =
+    Array.fold_left
+      (fun n (s : Span.span) -> if s.Span.kind = k then n + 1 else n)
+      0 spans
+  in
+  let sum k f =
+    Array.fold_left
+      (fun n (s : Span.span) -> if s.Span.kind = k then n + f s else n)
+      0 spans
+  in
+  let eq what want got = check int (name ^ ": " ^ what) want got in
+  eq "Drop spans = msg_drops" st.Stats.msg_drops (count Span.Drop);
+  eq "Delay spans = msg_delays" st.Stats.msg_delays (count Span.Delay);
+  eq "Dup spans = duplicates_suppressed" st.Stats.duplicates_suppressed
+    (count Span.Dup);
+  eq "sum of Backoff waits = retry_cycles" st.Stats.retry_cycles
+    (sum Span.Backoff (fun s -> s.Span.b));
+  check bool (name ^ ": Backoff spans <= retries") true
+    (count Span.Backoff <= st.Stats.retries);
+  eq "Fallback spans = migration_fallbacks" st.Stats.migration_fallbacks
+    (count Span.Fallback);
+  eq "Crash spans = crashes" st.Stats.crashes (count Span.Crash);
+  eq "sum of Crash pages = pages_lost_in_crash" st.Stats.pages_lost_in_crash
+    (sum Span.Crash (fun s -> s.Span.a));
+  eq "sum of Crash durations = recovery_stall_cycles"
+    st.Stats.recovery_stall_cycles
+    (sum Span.Crash (fun s -> s.Span.t1 - s.Span.t0));
+  eq "Failover spans = failstops" st.Stats.failstops (count Span.Failover);
+  eq "sum of Failover pages = pages_failed_over" st.Stats.pages_failed_over
+    (sum Span.Failover (fun s -> s.Span.a))
+
+let test_fault_census () =
+  let schedules =
+    [
+      ("mix/local", Config.Faults.mixed ~seed:1 (), Config.Local, None);
+      ( "flaky-home/global",
+        Config.Faults.flaky_home ~seed:1 (),
+        Config.Global,
+        None );
+      ( "crash-mix/bilateral",
+        Config.Faults.crash_mix ~seed:1 (),
+        Config.Bilateral,
+        None );
+      ( "failstop-mix/global",
+        Config.Faults.failstop_mix ~seed:1 (),
+        Config.Global,
+        Some Config.default_replica );
+    ]
+  in
+  (* every kind the census compares must actually occur somewhere *)
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (label, faults, coherence, replication) ->
+      List.iter
+        (fun (s : B.Common.spec) ->
+          let o, spans = spanned ~faults ~coherence ?replication s in
+          check_fault_census
+            (s.B.Common.name ^ " " ^ label)
+            o.B.Common.total_stats spans;
+          Array.iter
+            (fun (sp : Span.span) -> Hashtbl.replace seen sp.Span.kind ())
+            spans)
+        B.Registry.specs)
+    schedules;
+  List.iter
+    (fun k ->
+      check bool
+        ("census saw " ^ Span.kind_name k ^ " spans")
+        true (Hashtbl.mem seen k))
+    Span.[ Drop; Delay; Dup; Backoff; Fallback; Crash; Failover ]
+
 (* --- Flight recorder ------------------------------------------------------- *)
 
 let test_flight_dump_on_deadlock () =
@@ -423,6 +502,8 @@ let suite =
       test_totals;
     Alcotest.test_case "migration hops tile the episode" `Quick
       test_hop_tiling;
+    Alcotest.test_case "fault spans account for every fault counter" `Quick
+      test_fault_census;
     Alcotest.test_case "flight recorder dumps on deadlock" `Quick
       test_flight_dump_on_deadlock;
     Alcotest.test_case "off by default" `Quick test_off_by_default;
