@@ -114,22 +114,69 @@ let iterations = 2
 
 (* --- Shared pure math --------------------------------------------------- *)
 
-let octant ~x ~y ~z ~cx ~cy ~cz =
+let[@inline] octant ~x ~y ~z ~cx ~cy ~cz =
   (if x >= cx then 1 else 0)
   lor (if y >= cy then 2 else 0)
   lor (if z >= cz then 4 else 0)
 
-let octant_center ~cx ~cy ~cz ~size i =
+(* One coordinate of the centre of octant [i] of a cell centred at [c]:
+   the axis is the octant bit [bit] (1 for x, 2 for y, 4 for z). *)
+let[@inline] octant_coord c ~size i bit =
   let q = size /. 4. in
-  ( (if i land 1 = 1 then cx +. q else cx -. q),
-    (if i land 2 = 2 then cy +. q else cy -. q),
-    if i land 4 = 4 then cz +. q else cz -. q )
+  if i land bit = bit then c +. q else c -. q
 
-let accel ~bx ~by ~bz ~mx ~my ~mz ~m =
-  let dx = mx -. bx and dy = my -. by and dz = mz -. bz in
+(* A force walk's body position and running acceleration, as one flat
+   float record: the walk adds into it in visit order and allocates
+   nothing per node. *)
+type walker = {
+  mutable bx : float;
+  mutable by : float;
+  mutable bz : float;
+  mutable ax : float;
+  mutable ay : float;
+  mutable az : float;
+}
+
+let walker () = { bx = 0.; by = 0.; bz = 0.; ax = 0.; ay = 0.; az = 0. }
+
+let start_walk w ~bx ~by ~bz =
+  w.bx <- bx;
+  w.by <- by;
+  w.bz <- bz;
+  w.ax <- 0.;
+  w.ay <- 0.;
+  w.az <- 0.
+
+(* Add the pull of mass [m] at (mx, my, mz) to the walker's body. *)
+let[@inline] add_accel w ~mx ~my ~mz ~m =
+  let dx = mx -. w.bx and dy = my -. w.by and dz = mz -. w.bz in
   let d2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. eps2 in
   let inv = 1. /. (d2 *. Float.sqrt d2) in
-  (m *. dx *. inv, m *. dy *. inv, m *. dz *. inv)
+  w.ax <- w.ax +. (m *. dx *. inv);
+  w.ay <- w.ay +. (m *. dy *. inv);
+  w.az <- w.az +. (m *. dz *. inv)
+
+(* Running sums of mass and mass-weighted position for centres of mass. *)
+type sums = {
+  mutable sm : float;
+  mutable sx : float;
+  mutable sy : float;
+  mutable sz : float;
+}
+
+let[@inline] add_sums into s =
+  into.sm <- into.sm +. s.sm;
+  into.sx <- into.sx +. s.sx;
+  into.sy <- into.sy +. s.sy;
+  into.sz <- into.sz +. s.sz
+
+let[@inline] add_body_sums into ~m ~x ~y ~z =
+  into.sm <- into.sm +. m;
+  into.sx <- into.sx +. (m *. x);
+  into.sy <- into.sy +. (m *. y);
+  into.sz <- into.sz +. (m *. z)
+
+let sums () = { sm = 0.; sx = 0.; sy = 0.; sz = 0. }
 
 (* --- Host-side reference ----------------------------------------------- *)
 
@@ -169,63 +216,51 @@ module Reference = struct
     match cell.children.(i) with
     | Empty -> cell.children.(i) <- Body b
     | Body other ->
-        let ncx, ncy, ncz =
-          octant_center ~cx:cell.gx ~cy:cell.gy ~cz:cell.gz ~size:cell.size i
+        let sub =
+          new_cell
+            ~gx:(octant_coord cell.gx ~size:cell.size i 1)
+            ~gy:(octant_coord cell.gy ~size:cell.size i 2)
+            ~gz:(octant_coord cell.gz ~size:cell.size i 4)
+            ~size:(cell.size /. 2.)
         in
-        let sub = new_cell ~gx:ncx ~gy:ncy ~gz:ncz ~size:(cell.size /. 2.) in
         cell.children.(i) <- Cell sub;
         insert sub other;
         insert sub b
     | Cell sub -> insert sub b
 
-  let rec compute_mass = function
-    | Empty -> (0., 0., 0., 0.)
-    | Body b -> (b.mass, b.mass *. b.x, b.mass *. b.y, b.mass *. b.z)
-    | Cell c ->
-        let m = ref 0. and sx = ref 0. and sy = ref 0. and sz = ref 0. in
-        for i = 0 to 7 do
-          let m', x', y', z' = compute_mass c.children.(i) in
-          m := !m +. m';
-          sx := !sx +. x';
-          sy := !sy +. y';
-          sz := !sz +. z'
-        done;
-        c.cmass <- !m;
-        if !m > 0. then begin
-          c.cx <- !sx /. !m;
-          c.cy <- !sy /. !m;
-          c.cz <- !sz /. !m
-        end;
-        (!m, !sx, !sy, !sz)
-
-  let rec walk (b : body) node (ax, ay, az) =
+  (* Adds the node's mass sums into [into]; an empty slot adds zero. *)
+  let rec compute_mass node into =
     match node with
-    | Empty -> (ax, ay, az)
+    | Empty -> ()
+    | Body b -> add_body_sums into ~m:b.mass ~x:b.x ~y:b.y ~z:b.z
+    | Cell c ->
+        let s = sums () in
+        for i = 0 to 7 do
+          compute_mass c.children.(i) s
+        done;
+        c.cmass <- s.sm;
+        if s.sm > 0. then begin
+          c.cx <- s.sx /. s.sm;
+          c.cy <- s.sy /. s.sm;
+          c.cz <- s.sz /. s.sm
+        end;
+        add_sums into s
+
+  let rec walk (b : body) node w =
+    match node with
+    | Empty -> ()
     | Body other ->
-        if other == b then (ax, ay, az)
-        else begin
-          let dx, dy, dz =
-            accel ~bx:b.x ~by:b.y ~bz:b.z ~mx:other.x ~my:other.y ~mz:other.z
-              ~m:other.mass
-          in
-          (ax +. dx, ay +. dy, az +. dz)
-        end
+        if other != b then
+          add_accel w ~mx:other.x ~my:other.y ~mz:other.z ~m:other.mass
     | Cell c ->
         let ddx = c.cx -. b.x and ddy = c.cy -. b.y and ddz = c.cz -. b.z in
         let d2 = (ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz) +. eps2 in
-        if c.size *. c.size < theta2 *. d2 then begin
-          let dx, dy, dz =
-            accel ~bx:b.x ~by:b.y ~bz:b.z ~mx:c.cx ~my:c.cy ~mz:c.cz ~m:c.cmass
-          in
-          (ax +. dx, ay +. dy, az +. dz)
-        end
-        else begin
-          let acc = ref (ax, ay, az) in
+        if c.size *. c.size < theta2 *. d2 then
+          add_accel w ~mx:c.cx ~my:c.cy ~mz:c.cz ~m:c.cmass
+        else
           for i = 0 to 7 do
-            acc := walk b c.children.(i) !acc
-          done;
-          !acc
-        end
+            walk b c.children.(i) w
+          done
 
   let clamp v = Float.max 0.0001 (Float.min v 0.9999)
 
@@ -238,20 +273,28 @@ module Reference = struct
     for _ = 1 to iterations do
       let root = new_cell ~gx:0.5 ~gy:0.5 ~gz:0.5 ~size:1.0 in
       Array.iter (fun b -> insert root b) bodies;
-      ignore (compute_mass (Cell root));
-      let accs =
-        Array.map (fun b -> walk b (Cell root) (0., 0., 0.)) bodies
-      in
-      Array.iteri
-        (fun i b ->
-          let ax, ay, az = accs.(i) in
-          b.vx <- b.vx +. (ax *. dt);
-          b.vy <- b.vy +. (ay *. dt);
-          b.vz <- b.vz +. (az *. dt);
-          b.x <- clamp (b.x +. (b.vx *. dt));
-          b.y <- clamp (b.y +. (b.vy *. dt));
-          b.z <- clamp (b.z +. (b.vz *. dt)))
-        bodies
+      compute_mass (Cell root) (sums ());
+      let n = Array.length bodies in
+      let axs = Array.make n 0. and ays = Array.make n 0. in
+      let azs = Array.make n 0. in
+      let w = walker () and top = Cell root in
+      for i = 0 to n - 1 do
+        let b = bodies.(i) in
+        start_walk w ~bx:b.x ~by:b.y ~bz:b.z;
+        walk b top w;
+        axs.(i) <- w.ax;
+        ays.(i) <- w.ay;
+        azs.(i) <- w.az
+      done;
+      for i = 0 to n - 1 do
+        let b = bodies.(i) in
+        b.vx <- b.vx +. (axs.(i) *. dt);
+        b.vy <- b.vy +. (ays.(i) *. dt);
+        b.vz <- b.vz +. (azs.(i) *. dt);
+        b.x <- clamp (b.x +. (b.vx *. dt));
+        b.y <- clamp (b.y +. (b.vy *. dt));
+        b.z <- clamp (b.z +. (b.vz *. dt))
+      done
     done;
     bodies
 end
@@ -263,68 +306,68 @@ end
 let owner_of_x ~nprocs x =
   min (nprocs - 1) (int_of_float (x *. float_of_int nprocs))
 
-let load_body sites b =
-  ( Ops.load_float sites.s_body b b_x,
-    Ops.load_float sites.s_body b b_y,
-    Ops.load_float sites.s_body b b_z,
-    Ops.load_float sites.s_body b off_mass )
+(* Loads body [b]'s position into the walker in the load order
+   test/golden/kernel_pins.txt pins: mass (unused), z, y, x. *)
+let load_body sites w b =
+  ignore (Ops.load_float sites.s_body b off_mass);
+  let bz = Ops.load_float sites.s_body b b_z in
+  let by = Ops.load_float sites.s_body b b_y in
+  let bx = Ops.load_float sites.s_body b b_x in
+  start_walk w ~bx ~by ~bz
 
 (* Sequential tree build, from the main thread: cells are read and written
-   through the cache, so the builder never migrates. *)
-let insert_body sites ~nprocs ~cell ~bx ~by ~bz b =
-  let rec go cell =
-    let gx = Ops.load_float sites.s_cell cell c_x in
-    let gy = Ops.load_float sites.s_cell cell c_y in
-    let gz = Ops.load_float sites.s_cell cell c_z in
-    let size = Ops.load_float sites.s_cell cell c_size in
-    Ops.work open_work;
-    let i = octant ~x:bx ~y:by ~z:bz ~cx:gx ~cy:gy ~cz:gz in
-    let child = Ops.load_ptr sites.s_cchild cell (c_child i) in
-    if Gptr.is_null child then Ops.store_ptr sites.s_cchild cell (c_child i) b
-    else begin
-      let kind = Ops.load_int sites.s_cell child off_kind in
-      if kind = 1 then go child
-      else begin
-        (* split: a new subcell owned by the region's processor *)
-        let ncx, ncy, ncz = octant_center ~cx:gx ~cy:gy ~cz:gz ~size i in
-        let proc = owner_of_x ~nprocs ncx in
-        let sub = Ops.alloc ~proc cell_words in
-        Ops.store_int sites.s_cell sub off_kind 1;
-        Ops.store_float sites.s_cell sub off_mass 0.;
-        Ops.store_float sites.s_cell sub c_x ncx;
-        Ops.store_float sites.s_cell sub c_y ncy;
-        Ops.store_float sites.s_cell sub c_z ncz;
-        Ops.store_float sites.s_cell sub c_size (size /. 2.);
-        for j = 0 to 7 do
-          Ops.store_ptr sites.s_cchild sub (c_child j) Gptr.null
-        done;
-        Ops.store_ptr sites.s_cchild cell (c_child i) sub;
-        (* reinsert the displaced body, then continue with b *)
-        let ox = Ops.load_float sites.s_cell child b_x in
-        let oy = Ops.load_float sites.s_cell child b_y in
-        let oz = Ops.load_float sites.s_cell child b_z in
-        let rec reinsert cell' =
-          let gx' = Ops.load_float sites.s_cell cell' c_x in
-          let gy' = Ops.load_float sites.s_cell cell' c_y in
-          let gz' = Ops.load_float sites.s_cell cell' c_z in
-          ignore (Ops.load_float sites.s_cell cell' c_size);
-          let i' = octant ~x:ox ~y:oy ~z:oz ~cx:gx' ~cy:gy' ~cz:gz' in
-          let ch = Ops.load_ptr sites.s_cchild cell' (c_child i') in
-          if Gptr.is_null ch then
-            Ops.store_ptr sites.s_cchild cell' (c_child i') child
-          else reinsert ch
-        in
-        reinsert sub;
-        go sub
-      end
-    end
-  in
-  go cell
-
-(* Centres of mass, sequential, through the cache. *)
-let rec compute_mass sites node =
-  if Gptr.is_null node then (0., 0., 0., 0.)
+   through the cache, so the builder never migrates.  [w] holds the
+   body's position. *)
+let rec insert_body sites ~nprocs w b cell =
+  let gx = Ops.load_float sites.s_cell cell c_x in
+  let gy = Ops.load_float sites.s_cell cell c_y in
+  let gz = Ops.load_float sites.s_cell cell c_z in
+  let size = Ops.load_float sites.s_cell cell c_size in
+  Ops.work open_work;
+  let i = octant ~x:w.bx ~y:w.by ~z:w.bz ~cx:gx ~cy:gy ~cz:gz in
+  let child = Ops.load_ptr sites.s_cchild cell (c_child i) in
+  if Gptr.is_null child then Ops.store_ptr sites.s_cchild cell (c_child i) b
   else begin
+    let kind = Ops.load_int sites.s_cell child off_kind in
+    if kind = 1 then insert_body sites ~nprocs w b child
+    else begin
+      (* split: a new subcell owned by the region's processor *)
+      let ncx = octant_coord gx ~size i 1 in
+      let proc = owner_of_x ~nprocs ncx in
+      let sub = Ops.alloc ~proc cell_words in
+      Ops.store_int sites.s_cell sub off_kind 1;
+      Ops.store_float sites.s_cell sub off_mass 0.;
+      Ops.store_float sites.s_cell sub c_x ncx;
+      Ops.store_float sites.s_cell sub c_y (octant_coord gy ~size i 2);
+      Ops.store_float sites.s_cell sub c_z (octant_coord gz ~size i 4);
+      Ops.store_float sites.s_cell sub c_size (size /. 2.);
+      for j = 0 to 7 do
+        Ops.store_ptr sites.s_cchild sub (c_child j) Gptr.null
+      done;
+      Ops.store_ptr sites.s_cchild cell (c_child i) sub;
+      (* reinsert the displaced body, then continue with b *)
+      let ox = Ops.load_float sites.s_cell child b_x in
+      let oy = Ops.load_float sites.s_cell child b_y in
+      let oz = Ops.load_float sites.s_cell child b_z in
+      reinsert sites ~ox ~oy ~oz child sub;
+      insert_body sites ~nprocs w b sub
+    end
+  end
+
+and reinsert sites ~ox ~oy ~oz body cell =
+  let gx = Ops.load_float sites.s_cell cell c_x in
+  let gy = Ops.load_float sites.s_cell cell c_y in
+  let gz = Ops.load_float sites.s_cell cell c_z in
+  ignore (Ops.load_float sites.s_cell cell c_size);
+  let i = octant ~x:ox ~y:oy ~z:oz ~cx:gx ~cy:gy ~cz:gz in
+  let ch = Ops.load_ptr sites.s_cchild cell (c_child i) in
+  if Gptr.is_null ch then Ops.store_ptr sites.s_cchild cell (c_child i) body
+  else reinsert sites ~ox ~oy ~oz body ch
+
+(* Centres of mass, sequential, through the cache: adds the node's sums
+   into [into]. *)
+let rec compute_mass sites node into =
+  if not (Gptr.is_null node) then begin
     let kind = Ops.load_int sites.s_cell node off_kind in
     if kind = 0 then begin
       let m = Ops.load_float sites.s_cell node off_mass in
@@ -332,44 +375,37 @@ let rec compute_mass sites node =
       let y = Ops.load_float sites.s_cell node b_y in
       let z = Ops.load_float sites.s_cell node b_z in
       Ops.work 10;
-      (m, m *. x, m *. y, m *. z)
+      add_body_sums into ~m ~x ~y ~z
     end
     else begin
-      let m = ref 0. and sx = ref 0. and sy = ref 0. and sz = ref 0. in
+      let s = sums () in
       for i = 0 to 7 do
         let child = Ops.load_ptr sites.s_cchild node (c_child i) in
-        let m', x', y', z' = compute_mass sites child in
-        m := !m +. m';
-        sx := !sx +. x';
-        sy := !sy +. y';
-        sz := !sz +. z'
+        compute_mass sites child s
       done;
       Ops.work 20;
-      Ops.store_float sites.s_cell node off_mass !m;
-      if !m > 0. then begin
-        Ops.store_float sites.s_cell node c_x (!sx /. !m);
-        Ops.store_float sites.s_cell node c_y (!sy /. !m);
-        Ops.store_float sites.s_cell node c_z (!sz /. !m)
+      Ops.store_float sites.s_cell node off_mass s.sm;
+      if s.sm > 0. then begin
+        Ops.store_float sites.s_cell node c_x (s.sx /. s.sm);
+        Ops.store_float sites.s_cell node c_y (s.sy /. s.sm);
+        Ops.store_float sites.s_cell node c_z (s.sz /. s.sm)
       end;
-      (!m, !sx, !sy, !sz)
+      add_sums into s
     end
   end
 
-(* The force walk for one body: cells through the cache. *)
-let rec walk sites ~b ~bx ~by ~bz node (ax, ay, az) =
-  if Gptr.is_null node then (ax, ay, az)
-  else begin
+(* The force walk for body [b]: cells through the cache. *)
+let rec walk sites ~b w node =
+  if not (Gptr.is_null node) then begin
     let kind = Ops.load_int sites.s_cell node off_kind in
     if kind = 0 then begin
-      if Gptr.equal node b then (ax, ay, az)
-      else begin
+      if not (Gptr.equal node b) then begin
         let m = Ops.load_float sites.s_cell node off_mass in
         let mx = Ops.load_float sites.s_cell node b_x in
         let my = Ops.load_float sites.s_cell node b_y in
         let mz = Ops.load_float sites.s_cell node b_z in
         Ops.work interact_work;
-        let dx, dy, dz = accel ~bx ~by ~bz ~mx ~my ~mz ~m in
-        (ax +. dx, ay +. dy, az +. dz)
+        add_accel w ~mx ~my ~mz ~m
       end
     end
     else begin
@@ -378,51 +414,47 @@ let rec walk sites ~b ~bx ~by ~bz node (ax, ay, az) =
       let cz = Ops.load_float sites.s_cell node c_z in
       let size = Ops.load_float sites.s_cell node c_size in
       Ops.work open_work;
-      let ddx = cx -. bx and ddy = cy -. by and ddz = cz -. bz in
+      let ddx = cx -. w.bx and ddy = cy -. w.by and ddz = cz -. w.bz in
       let d2 = (ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz) +. eps2 in
       if size *. size < theta2 *. d2 then begin
         let m = Ops.load_float sites.s_cell node off_mass in
         Ops.work interact_work;
-        let dx, dy, dz = accel ~bx ~by ~bz ~mx:cx ~my:cy ~mz:cz ~m in
-        (ax +. dx, ay +. dy, az +. dz)
+        add_accel w ~mx:cx ~my:cy ~mz:cz ~m
       end
-      else begin
-        let acc = ref (ax, ay, az) in
+      else
         for i = 0 to 7 do
           let child = Ops.load_ptr sites.s_cchild node (c_child i) in
-          acc := walk sites ~b ~bx ~by ~bz child !acc
-        done;
-        !acc
-      end
+          walk sites ~b w child
+        done
     end
   end
 
 (* Per-processor pass: forces then integration for the local body list. *)
-let rec do_bodies sites ~root b =
+let rec do_bodies sites w ~root b =
   if not (Gptr.is_null b) then begin
-    let bx, by, bz, _ = load_body sites b in
-    let ax, ay, az = walk sites ~b ~bx ~by ~bz root (0., 0., 0.) in
-    Ops.store_float sites.s_body b b_ax ax;
-    Ops.store_float sites.s_body b b_ay ay;
-    Ops.store_float sites.s_body b b_az az;
+    load_body sites w b;
+    walk sites ~b w root;
+    Ops.store_float sites.s_body b b_ax w.ax;
+    Ops.store_float sites.s_body b b_ay w.ay;
+    Ops.store_float sites.s_body b b_az w.az;
     Ops.work update_work;
-    do_bodies sites ~root (Ops.load_ptr sites.s_bnext b b_next)
+    do_bodies sites w ~root (Ops.load_ptr sites.s_bnext b b_next)
   end
 
 let clamp = Reference.clamp
+let read sites b f = Ops.load_float sites.s_body b f
 
 let rec update_bodies sites b =
   if not (Gptr.is_null b) then begin
-    let read f = Ops.load_float sites.s_body b f in
-    let vx = read b_vx +. (read b_ax *. dt) in
-    let vy = read b_vy +. (read b_ay *. dt) in
-    let vz = read b_vz +. (read b_az *. dt) in
+    let vx = read sites b b_vx +. (read sites b b_ax *. dt) in
+    let vy = read sites b b_vy +. (read sites b b_ay *. dt) in
+    let vz = read sites b b_vz +. (read sites b b_az *. dt) in
     Ops.store_float sites.s_body b b_vx vx;
     Ops.store_float sites.s_body b b_vy vy;
     Ops.store_float sites.s_body b b_vz vz;
-    Ops.store_float sites.s_body b b_x (clamp (read b_x +. (vx *. dt)));
-    Ops.store_float sites.s_body b b_y (clamp (read b_y +. (vy *. dt)));
-    Ops.store_float sites.s_body b b_z (clamp (read b_z +. (vz *. dt)));
+    Ops.store_float sites.s_body b b_x (clamp (read sites b b_x +. (vx *. dt)));
+    Ops.store_float sites.s_body b b_y (clamp (read sites b b_y +. (vy *. dt)));
+    Ops.store_float sites.s_body b b_z (clamp (read sites b b_z +. (vz *. dt)));
     Ops.work update_work;
     update_bodies sites (Ops.load_ptr sites.s_bnext b b_next)
   end
@@ -433,7 +465,7 @@ let rec do_all sites chain ~body_pass ~root =
     let head = Ops.load_ptr sites.s_head chain off_head in
     let fut =
       Ops.future (fun () ->
-          (if body_pass then do_bodies sites ~root head
+          (if body_pass then do_bodies sites (walker ()) ~root head
            else update_bodies sites head);
           Value.Int 0)
     in
@@ -504,12 +536,13 @@ let run cfg ~scale =
         for j = 0 to 7 do
           Ops.store_ptr sites.s_cchild root (c_child j) Gptr.null
         done;
+        let w = walker () in
         Array.iter
           (fun b ->
-            let bx, by, bz, _ = load_body sites b in
-            insert_body sites ~nprocs ~cell:root ~bx ~by ~bz b)
+            load_body sites w b;
+            insert_body sites ~nprocs w b root)
           bodies;
-        ignore (compute_mass sites root);
+        compute_mass sites root (sums ());
         (* parallel force pass, then parallel update pass *)
         Ops.call (fun () -> do_all sites cells_chain ~body_pass:true ~root);
         Ops.call (fun () -> do_all sites cells_chain ~body_pass:false ~root)

@@ -79,136 +79,144 @@ let conquer_threshold = 64
 let dist_work = 25
 let insert_work = 18
 
-let dist (x1, y1) (x2, y2) =
+(* Distance between (x1, y1) and (x2, y2).  Inlined so that no float
+   argument or result is boxed in the quadratic scans. *)
+let[@inline] dist x1 y1 x2 y2 =
   let dx = x1 -. x2 and dy = y1 -. y2 in
   Float.sqrt ((dx *. dx) +. (dy *. dy))
 
 (* --- Host-side reference ----------------------------------------------- *)
 
+(* Cities are indices into flat arrays; -1 stands for no city. *)
 module Reference = struct
-  type city = {
-    id : int;
-    x : float;
-    y : float;
-    mutable left : city option;
-    mutable right : city option;
-    mutable next : city option;
-    mutable prev : city option;
+  type t = {
+    xs : float array;
+    ys : float array;
+    left : int array;
+    right : int array;
+    next : int array;
+    prev : int array;
+    order : int array; (* [collect]'s output, reused by every conquer *)
   }
 
-  let get = function Some c -> c | None -> assert false
-  let pos c = (c.x, c.y)
+  let[@inline] dist_c t a b = dist t.xs.(a) t.ys.(a) t.xs.(b) t.ys.(b)
 
   (* In-order balanced tree over cities sorted by x. *)
-  let rec build (cities : city array) lo hi =
-    if lo >= hi then None
+  let rec build t lo hi =
+    if lo >= hi then -1
     else begin
       let mid = (lo + hi) / 2 in
-      let c = cities.(mid) in
-      c.left <- build cities lo mid;
-      c.right <- build cities (mid + 1) hi;
-      Some c
+      t.left.(mid) <- build t lo mid;
+      t.right.(mid) <- build t (mid + 1) hi;
+      mid
     end
 
-  let rec collect t acc =
-    match t with
-    | None -> acc
-    | Some c -> collect c.left (c :: collect c.right acc)
+  (* Writes subtree [c]'s cities in order into [t.order] from index [k];
+     returns the index past the last. *)
+  let rec collect t c k =
+    if c < 0 then k
+    else begin
+      let k = collect t t.left.(c) k in
+      t.order.(k) <- c;
+      collect t t.right.(c) (k + 1)
+    end
 
   (* Greedy nearest-edge insertion over the subtree's cities. *)
-  let conquer t =
-    match collect t [] with
-    | [] -> assert false
-    | first :: rest ->
-        first.next <- Some first;
-        first.prev <- Some first;
-        List.iter
-          (fun c ->
-            (* find the tour edge (p, p.next) whose detour through c is
-               cheapest *)
-            let best = ref infinity and best_after = ref first in
-            let p = ref first in
-            let continue_ = ref true in
-            while !continue_ do
-              let q = get !p.next in
-              let detour =
-                dist (pos !p) (pos c) +. dist (pos c) (pos q)
-                -. dist (pos !p) (pos q)
-              in
-              if detour < !best then begin
-                best := detour;
-                best_after := !p
-              end;
-              p := q;
-              if !p == first then continue_ := false
-            done;
-            let a = !best_after in
-            let b = get a.next in
-            a.next <- Some c;
-            c.prev <- Some a;
-            c.next <- Some b;
-            b.prev <- Some c)
-          rest;
-        first
+  let conquer t root =
+    let k = collect t root 0 in
+    assert (k > 0);
+    let first = t.order.(0) in
+    t.next.(first) <- first;
+    t.prev.(first) <- first;
+    for j = 1 to k - 1 do
+      let c = t.order.(j) in
+      (* find the tour edge (p, p.next) whose detour through c is
+         cheapest *)
+      let best = ref infinity and best_after = ref first in
+      let p = ref first in
+      let continue_ = ref true in
+      while !continue_ do
+        let q = t.next.(!p) in
+        let detour = dist_c t !p c +. dist_c t c q -. dist_c t !p q in
+        if detour < !best then begin
+          best := detour;
+          best_after := !p
+        end;
+        p := q;
+        if !p = first then continue_ := false
+      done;
+      let a = !best_after in
+      let b = t.next.(a) in
+      t.next.(a) <- c;
+      t.prev.(c) <- a;
+      t.next.(c) <- b;
+      t.prev.(b) <- c
+    done;
+    first
 
-  let merge a b t =
+  let merge t a b c =
     (* one scan: the node of tour [a] closest to [b]'s head; splice there
        (the merge is linear in the larger tour, the paper's sequential
        subtree walk) *)
     let na = ref a and best = ref infinity in
     let p = ref a and continue_ = ref true in
     while !continue_ do
-      let d = dist (pos !p) (pos b) in
+      let d = dist_c t !p b in
       if d < !best then begin
         best := d;
         na := !p
       end;
-      p := get !p.next;
-      if !p == a then continue_ := false
+      p := t.next.(!p);
+      if !p = a then continue_ := false
     done;
     let na = !na in
     let nb = b in
-    let na_next = get na.next and nb_next = get nb.next in
-    na.next <- Some t;
-    t.prev <- Some na;
-    t.next <- Some nb_next;
-    nb_next.prev <- Some t;
-    nb.next <- Some na_next;
-    na_next.prev <- Some nb;
+    let na_next = t.next.(na) and nb_next = t.next.(nb) in
+    t.next.(na) <- c;
+    t.prev.(c) <- na;
+    t.next.(c) <- nb_next;
+    t.prev.(nb_next) <- c;
+    t.next.(nb) <- na_next;
+    t.prev.(na_next) <- nb;
     a
 
-  let rec tsp t sz =
-    let c = get t in
-    if sz <= conquer_threshold then conquer t
+  let rec tsp t c sz =
+    assert (c >= 0);
+    if sz <= conquer_threshold then conquer t c
     else begin
-      let l = tsp c.left (sz / 2) in
-      let r = tsp c.right (sz / 2) in
+      let l = tsp t t.left.(c) (sz / 2) in
+      let r = tsp t t.right.(c) (sz / 2) in
       (* the root city is not in either half-tour; merge through it *)
-      merge l r c
+      merge t l r c
     end
 
-  let tour_length start =
+  let tour_length t start =
     let total = ref 0. and p = ref start and continue_ = ref true in
     let count = ref 0 in
     while !continue_ do
-      total := !total +. dist (pos !p) (pos (get !p.next));
+      total := !total +. dist_c t !p t.next.(!p);
       incr count;
-      p := get !p.next;
-      if !p == start then continue_ := false
+      p := t.next.(!p);
+      if !p = start then continue_ := false
     done;
     (!total, !count)
 
   let run points =
-    let cities =
-      Array.mapi
-        (fun i (x, y) ->
-          { id = i; x; y; left = None; right = None; next = None; prev = None })
-        points
-    in
     let n = Array.length points in
-    let root = build cities 0 n in
-    let start = tsp root n in
-    tour_length start
+    let t =
+      {
+        xs = Array.map fst points;
+        ys = Array.map snd points;
+        left = Array.make n (-1);
+        right = Array.make n (-1);
+        next = Array.make n (-1);
+        prev = Array.make n (-1);
+        order = Array.make n (-1);
+      }
+    in
+    let root = build t 0 n in
+    let start = tsp t root n in
+    tour_length t start
 end
 
 (* --- The Olden program ------------------------------------------------- *)
@@ -239,76 +247,104 @@ let build sites (points : (float * float) array) =
   in
   Ops.call (fun () -> go 0 (Array.length points) 0 nprocs)
 
-let coords sites c =
-  (Ops.load_float sites.s_x c off_x, Ops.load_float sites.s_y c off_y)
+(* A growable array of city pointers. *)
+type cities = { mutable ptrs : Gptr.t array; mutable len : int }
 
-let rec collect sites t acc =
-  if Gptr.is_null t then acc
-  else begin
+let push cs c =
+  if cs.len = Array.length cs.ptrs then begin
+    let a = Array.make (2 * cs.len) Gptr.null in
+    Array.blit cs.ptrs 0 a 0 cs.len;
+    cs.ptrs <- a
+  end;
+  cs.ptrs.(cs.len) <- c;
+  cs.len <- cs.len + 1
+
+(* Appends subtree [t]'s cities in reverse order: each node's pointers
+   are read, then its right subtree is visited before its left, the load
+   order test/golden/kernel_pins.txt pins.  A buffer per call: another
+   conquer can run while this one's thread waits on a migration. *)
+let rec collect sites t cs =
+  if not (Gptr.is_null t) then begin
     let l = Ops.load_ptr sites.s_left t off_left in
     let r = Ops.load_ptr sites.s_right t off_right in
-    collect sites l (t :: collect sites r acc)
+    collect sites r cs;
+    push cs t;
+    collect sites l cs
   end
 
 (* Greedy nearest-edge insertion; coordinates are read once per city, the
    quadratic scan itself uses the local copies (registers/stack in Olden
-   terms) with its compute charged per comparison. *)
+   terms) with its compute charged per comparison.  The local mirror of
+   the tour keeps each city's pointer and position in tour order. *)
 let conquer sites t =
-  match collect sites t [] with
-  | [] -> assert false
-  | first :: rest ->
-      Ops.store_ptr sites.s_next first off_next first;
-      Ops.store_ptr sites.s_prev first off_prev first;
-      (* local mirror of the tour as a growing list of (ptr, pos) *)
-      let first_pos = coords sites first in
-      let tour = ref [ (first, first_pos) ] in
-      List.iter
-        (fun c ->
-          let cpos = coords sites c in
-          let best = ref infinity and best_after = ref (first, first_pos) in
-          (* walk the tour pairs (p, p.next) in order *)
-          let arr = Array.of_list !tour in
-          let k = Array.length arr in
-          Ops.work (dist_work * k);
-          for i = 0 to k - 1 do
-            let _, ppos = arr.(i) in
-            let _, qpos = arr.((i + 1) mod k) in
-            let detour = dist ppos cpos +. dist cpos qpos -. dist ppos qpos in
-            if detour < !best then begin
-              best := detour;
-              best_after := arr.(i)
-            end
-          done;
-          let a, _ = !best_after in
-          let b = Ops.load_ptr sites.s_next a off_next in
-          Ops.store_ptr sites.s_next a off_next c;
-          Ops.store_ptr sites.s_prev c off_prev a;
-          Ops.store_ptr sites.s_next c off_next b;
-          Ops.store_ptr sites.s_prev b off_prev c;
-          Ops.work insert_work;
-          (* keep the mirror in tour order: insert c after a *)
-          let rec ins = function
-            | [] -> []
-            | ((p, _) as hd) :: tl ->
-                if Gptr.equal p a then hd :: (c, cpos) :: tl else hd :: ins tl
-          in
-          tour := ins !tour)
-        rest;
-      first
+  let cs = { ptrs = Array.make conquer_threshold Gptr.null; len = 0 } in
+  collect sites t cs;
+  let n = cs.len in
+  assert (n > 0);
+  let first = cs.ptrs.(n - 1) in
+  Ops.store_ptr sites.s_next first off_next first;
+  Ops.store_ptr sites.s_prev first off_prev first;
+  let ptrs = Array.make n first in
+  let xs = Array.make n 0. and ys = Array.make n 0. in
+  ys.(0) <- Ops.load_float sites.s_y first off_y;
+  xs.(0) <- Ops.load_float sites.s_x first off_x;
+  for j = n - 2 downto 0 do
+    let c = cs.ptrs.(j) in
+    let cy = Ops.load_float sites.s_y c off_y in
+    let cx = Ops.load_float sites.s_x c off_x in
+    let k = n - 1 - j in
+    let best = ref infinity and best_i = ref 0 in
+    (* walk the tour pairs (p, p.next) in order *)
+    Ops.work (dist_work * k);
+    for i = 0 to k - 1 do
+      let q = if i + 1 = k then 0 else i + 1 in
+      let px = xs.(i) and py = ys.(i) and qx = xs.(q) and qy = ys.(q) in
+      let detour = dist px py cx cy +. dist cx cy qx qy -. dist px py qx qy in
+      if detour < !best then begin
+        best := detour;
+        best_i := i
+      end
+    done;
+    let a = ptrs.(!best_i) in
+    let b = Ops.load_ptr sites.s_next a off_next in
+    Ops.store_ptr sites.s_next a off_next c;
+    Ops.store_ptr sites.s_prev c off_prev a;
+    Ops.store_ptr sites.s_next c off_next b;
+    Ops.store_ptr sites.s_prev b off_prev c;
+    Ops.work insert_work;
+    (* keep the mirror in tour order: insert c after a *)
+    let at = !best_i + 1 in
+    Array.blit ptrs at ptrs (at + 1) (k - at);
+    Array.blit xs at xs (at + 1) (k - at);
+    Array.blit ys at ys (at + 1) (k - at);
+    ptrs.(at) <- c;
+    xs.(at) <- cx;
+    ys.(at) <- cy
+  done;
+  first
 
-(* Walk tour [a] for the node closest to position [target]. *)
-let closest_on_tour sites start target =
-  let rec go p best best_node =
-    let d = dist (coords sites p) target in
+(* Walk tour [start] for the node closest to position (tx, ty). *)
+let closest_on_tour sites start ~tx ~ty =
+  let best = ref infinity and best_node = ref start in
+  let p = ref start and continue_ = ref true in
+  while !continue_ do
+    let py = Ops.load_float sites.s_y !p off_y in
+    let px = Ops.load_float sites.s_x !p off_x in
+    let d = dist px py tx ty in
     Ops.work dist_work;
-    let best, best_node = if d < best then (d, p) else (best, best_node) in
-    let next = Ops.load_ptr sites.s_next p off_next in
-    if Gptr.equal next start then best_node else go next best best_node
-  in
-  go start infinity start
+    if d < !best then begin
+      best := d;
+      best_node := !p
+    end;
+    let next = Ops.load_ptr sites.s_next !p off_next in
+    if Gptr.equal next start then continue_ := false else p := next
+  done;
+  !best_node
 
 let merge sites a b t =
-  let na = closest_on_tour sites a (coords sites b) in
+  let ty = Ops.load_float sites.s_y b off_y in
+  let tx = Ops.load_float sites.s_x b off_x in
+  let na = closest_on_tour sites a ~tx ~ty in
   let nb = b in
   let na_next = Ops.load_ptr sites.s_next na off_next in
   let nb_next = Ops.load_ptr sites.s_next nb off_next in
@@ -358,10 +394,7 @@ let run cfg ~scale =
       let memory = Engine.memory engine in
       let total = ref 0. and count = ref 0 and p = ref start in
       let continue_ = ref true in
-      let pos c =
-        ( Value.to_float (Memory.load memory c off_x),
-          Value.to_float (Memory.load memory c off_y) )
-      in
+      let coord c off = Value.to_float (Memory.load memory c off) in
       while !continue_ do
         let next = Value.to_ptr (Memory.load memory !p off_next) in
         let prev_of_next = Value.to_ptr (Memory.load memory next off_prev) in
@@ -370,7 +403,10 @@ let run cfg ~scale =
           continue_ := false
         end
         else begin
-          total := !total +. dist (pos !p) (pos next);
+          total :=
+            !total
+            +. dist (coord !p off_x) (coord !p off_y) (coord next off_x)
+                 (coord next off_y);
           incr count;
           p := next;
           if Gptr.equal !p start then continue_ := false

@@ -97,305 +97,319 @@ let incircle_work = 150
 let makeedge_work = 80
 let splice_work = 50
 
+(* An edge reference is a quad-edge record and a rotation packed in one
+   int, [record lsl 2 lor rot]; the int doubles as the edge part's key
+   when a face is named by its least part.  The rotations work on the low
+   two bits alone. *)
+type eref = int
+
+let[@inline] rot (e : eref) : eref = (e land lnot 3) lor ((e + 1) land 3)
+let[@inline] sym (e : eref) : eref = (e land lnot 3) lor ((e + 2) land 3)
+let[@inline] invrot (e : eref) : eref = (e land lnot 3) lor ((e + 3) land 3)
+
+(* Whether a, b, c turn counterclockwise. *)
+let[@inline] ccw_xy ax ay bx by cx cy =
+  ((bx -. ax) *. (cy -. ay)) -. ((by -. ay) *. (cx -. ax)) > 0.
+
+(* Whether d lies inside the circle through a, b and c. *)
+let[@inline] in_circle_xy ax ay bx by cx cy dx dy =
+  let az = (ax *. ax) +. (ay *. ay) in
+  let bz = (bx *. bx) +. (by *. by) in
+  let cz = (cx *. cx) +. (cy *. cy) in
+  let dz = (dx *. dx) +. (dy *. dy) in
+  let m11 = ax -. dx and m12 = ay -. dy and m13 = az -. dz in
+  let m21 = bx -. dx and m22 = by -. dy and m23 = bz -. dz in
+  let m31 = cx -. dx and m32 = cy -. dy and m33 = cz -. dz in
+  (m11 *. ((m22 *. m33) -. (m23 *. m32)))
+  -. (m12 *. ((m21 *. m33) -. (m23 *. m31)))
+  +. (m13 *. ((m21 *. m32) -. (m22 *. m31)))
+  > 0.
+
+(* [a <= b] for points compared as (x, y) pairs, x first. *)
+let[@inline] point_le ax ay bx by = ax < bx || (ax = bx && ay <= by)
+
+let circumcenter ax ay bx by cx cy =
+  let d = 2. *. ((ax *. (by -. cy)) +. (bx *. (cy -. ay)) +. (cx *. (ay -. by))) in
+  if Float.abs d < 1e-18 then None
+  else begin
+    let a2 = (ax *. ax) +. (ay *. ay) in
+    let b2 = (bx *. bx) +. (by *. by) in
+    let c2 = (cx *. cx) +. (cy *. cy) in
+    let ux = ((a2 *. (by -. cy)) +. (b2 *. (cy -. ay)) +. (c2 *. (ay -. by))) /. d in
+    let uy = ((a2 *. (cx -. bx)) +. (b2 *. (ax -. cx)) +. (c2 *. (bx -. ax))) /. d in
+    Some (ux, uy)
+  end
+
+(* The circumcentre of a triangular face, its corners rotated to start at
+   the smallest origin point: intrinsic to the face, so the operand order
+   is independent of discovery order and of the parallel schedule. *)
+let face_vertex ax ay bx by cx cy =
+  if point_le ax ay bx by && point_le ax ay cx cy then
+    circumcenter ax ay bx by cx cy
+  else if point_le bx by ax ay && point_le bx by cx cy then
+    circumcenter bx by cx cy ax ay
+  else circumcenter cx cy ax ay bx by
+
+(* Sets of faces, each named by an int. *)
+module Faces = Hashtbl.Make (Int)
+
+(* An alive edge (o, d) as one int, [min o d * n + max o d], for point
+   indices below [n]. *)
+let[@inline] pair_key ~n o d = (min o d * n) + max o d
+
 (* --- Host-side reference (the validated prototype) --------------------- *)
 
+(* Records are numbered from 0 in creation order; record [r]'s part [i]
+   is the edge reference [4r + i].  All state belongs to one run. *)
 module Reference = struct
-  type point = { px : float; py : float; idx : int }
-
-  type record_ = {
-    rid : int;
-    next : (record_ * int) array;
-    data : point option array;
-    mutable alive : bool;
+  type t = {
+    px : float array;
+    py : float array;
+    mutable next : eref array; (* onext of every part *)
+    mutable data : int array; (* origin point of every part, or -1 *)
+    mutable alive : Bytes.t; (* per record *)
+    mutable records : int;
   }
 
-  type eref = record_ * int
+  let[@inline] onext t e = t.next.(e)
+  let[@inline] set_onext t e x = t.next.(e) <- x
+  let oprev t e = rot (onext t (rot e))
+  let lnext t e = rot (onext t (invrot e))
+  let rprev t e = onext t (sym e)
+  let[@inline] org t e = t.data.(e)
+  let[@inline] dest t e = org t (sym e)
 
-  let all_records : record_ list ref = ref []
-  let next_id = ref 0
+  let grow t =
+    let cap = 2 * Bytes.length t.alive in
+    let next = Array.make (4 * cap) 0 and data = Array.make (4 * cap) (-1) in
+    Array.blit t.next 0 next 0 (4 * t.records);
+    Array.blit t.data 0 data 0 (4 * t.records);
+    let alive = Bytes.make cap '\000' in
+    Bytes.blit t.alive 0 alive 0 t.records;
+    t.next <- next;
+    t.data <- data;
+    t.alive <- alive
 
-  let rot ((r, i) : eref) : eref = (r, (i + 1) land 3)
-  let sym ((r, i) : eref) : eref = (r, (i + 2) land 3)
-  let invrot ((r, i) : eref) : eref = (r, (i + 3) land 3)
-  let onext ((r, i) : eref) : eref = r.next.(i)
-  let oprev e = rot (onext (rot e))
-  let lnext e = rot (onext (invrot e))
-  let rprev e = onext (sym e)
-  let org ((r, i) : eref) = match r.data.(i) with Some p -> p | None -> assert false
-  let dest e = org (sym e)
-  let set_onext ((r, i) : eref) (t : eref) = r.next.(i) <- t
-
-  let dummy_record = { rid = -1; next = [||]; data = [||]; alive = false }
-
-  let make_edge a b : eref =
-    incr next_id;
-    let r =
-      {
-        rid = !next_id;
-        next = Array.make 4 (dummy_record, 0);
-        data = [| Some a; None; Some b; None |];
-        alive = true;
-      }
-    in
-    r.next.(0) <- (r, 0);
-    r.next.(1) <- (r, 3);
-    r.next.(2) <- (r, 2);
-    r.next.(3) <- (r, 1);
-    all_records := r :: !all_records;
-    (r, 0)
-
-  let splice a b =
-    let alpha = rot (onext a) and beta = rot (onext b) in
-    let ta = onext a and tb = onext b in
-    set_onext a tb;
-    set_onext b ta;
-    let talpha = onext alpha and tbeta = onext beta in
-    set_onext alpha tbeta;
-    set_onext beta talpha
-
-  let connect a b =
-    let e = make_edge (dest a) (org b) in
-    splice e (lnext a);
-    splice (sym e) b;
+  let make_edge t a b : eref =
+    if t.records = Bytes.length t.alive then grow t;
+    let r = t.records in
+    t.records <- r + 1;
+    let e = 4 * r in
+    set_onext t e e;
+    set_onext t (e + 1) (e + 3);
+    set_onext t (e + 2) (e + 2);
+    set_onext t (e + 3) (e + 1);
+    t.data.(e) <- a;
+    t.data.(e + 2) <- b;
+    Bytes.set t.alive r '\001';
     e
 
-  let delete_edge e =
-    splice e (oprev e);
-    splice (sym e) (oprev (sym e));
-    (fst e).alive <- false
+  let splice t a b =
+    let alpha = rot (onext t a) and beta = rot (onext t b) in
+    let ta = onext t a and tb = onext t b in
+    set_onext t a tb;
+    set_onext t b ta;
+    let talpha = onext t alpha and tbeta = onext t beta in
+    set_onext t alpha tbeta;
+    set_onext t beta talpha
 
-  let ccw a b c =
-    ((b.px -. a.px) *. (c.py -. a.py)) -. ((b.py -. a.py) *. (c.px -. a.px)) > 0.
+  let connect t a b =
+    let e = make_edge t (dest t a) (org t b) in
+    splice t e (lnext t a);
+    splice t (sym e) b;
+    e
 
-  let in_circle a b c d =
-    let az = (a.px *. a.px) +. (a.py *. a.py) in
-    let bz = (b.px *. b.px) +. (b.py *. b.py) in
-    let cz = (c.px *. c.px) +. (c.py *. c.py) in
-    let dz = (d.px *. d.px) +. (d.py *. d.py) in
-    let m11 = a.px -. d.px and m12 = a.py -. d.py and m13 = az -. dz in
-    let m21 = b.px -. d.px and m22 = b.py -. d.py and m23 = bz -. dz in
-    let m31 = c.px -. d.px and m32 = c.py -. d.py and m33 = cz -. dz in
-    (m11 *. ((m22 *. m33) -. (m23 *. m32)))
-    -. (m12 *. ((m21 *. m33) -. (m23 *. m31)))
-    +. (m13 *. ((m21 *. m32) -. (m22 *. m31)))
-    > 0.
+  let delete_edge t e =
+    splice t e (oprev t e);
+    splice t (sym e) (oprev t (sym e));
+    Bytes.set t.alive (e lsr 2) '\000'
 
-  let rightof p e = ccw p (dest e) (org e)
-  let leftof p e = ccw p (org e) (dest e)
+  let ccw t a b c =
+    ccw_xy t.px.(a) t.py.(a) t.px.(b) t.py.(b) t.px.(c) t.py.(c)
 
-  let rec delaunay (pts : point array) lo hi : eref * eref =
+  let in_circle t a b c d =
+    in_circle_xy t.px.(a) t.py.(a) t.px.(b) t.py.(b) t.px.(c) t.py.(c)
+      t.px.(d) t.py.(d)
+
+  let rightof t p e = ccw t p (dest t e) (org t e)
+  let leftof t p e = ccw t p (org t e) (dest t e)
+  let valid t basel e = rightof t (dest t e) basel
+
+  (* Points [lo, hi) of the x-sorted set; returns the hull edges. *)
+  let rec delaunay t lo hi : eref * eref =
     let n = hi - lo in
     if n = 2 then begin
-      let a = make_edge pts.(lo) pts.(lo + 1) in
+      let a = make_edge t lo (lo + 1) in
       (a, sym a)
     end
     else if n = 3 then begin
-      let s1 = pts.(lo) and s2 = pts.(lo + 1) and s3 = pts.(lo + 2) in
-      let a = make_edge s1 s2 in
-      let b = make_edge s2 s3 in
-      splice (sym a) b;
-      if ccw s1 s2 s3 then begin
-        let _c = connect b a in
+      let s1 = lo and s2 = lo + 1 and s3 = lo + 2 in
+      let a = make_edge t s1 s2 in
+      let b = make_edge t s2 s3 in
+      splice t (sym a) b;
+      if ccw t s1 s2 s3 then begin
+        let _c = connect t b a in
         (a, sym b)
       end
-      else if ccw s1 s3 s2 then begin
-        let c = connect b a in
+      else if ccw t s1 s3 s2 then begin
+        let c = connect t b a in
         (sym c, c)
       end
       else (a, sym b)
     end
     else begin
       let mid = (lo + hi) / 2 in
-      let ldo, ldi = delaunay pts lo mid in
-      let rdi, rdo = delaunay pts mid hi in
+      let ldo, ldi = delaunay t lo mid in
+      let rdi, rdo = delaunay t mid hi in
       let ldi = ref ldi and rdi = ref rdi and ldo = ref ldo and rdo = ref rdo in
       let continue_ = ref true in
       while !continue_ do
-        if leftof (org !rdi) !ldi then ldi := lnext !ldi
-        else if rightof (org !ldi) !rdi then rdi := rprev !rdi
+        if leftof t (org t !rdi) !ldi then ldi := lnext t !ldi
+        else if rightof t (org t !ldi) !rdi then rdi := rprev t !rdi
         else continue_ := false
       done;
-      let basel = ref (connect (sym !rdi) !ldi) in
-      if org !ldi == org !ldo then ldo := sym !basel;
-      if org !rdi == org !rdo then rdo := !basel;
+      let basel = ref (connect t (sym !rdi) !ldi) in
+      if org t !ldi = org t !ldo then ldo := sym !basel;
+      if org t !rdi = org t !rdo then rdo := !basel;
       let merging = ref true in
       while !merging do
-        let valid e = rightof (dest e) !basel in
-        let lcand = ref (onext (sym !basel)) in
-        if valid !lcand then begin
+        let lcand = ref (onext t (sym !basel)) in
+        if valid t !basel !lcand then begin
           while
-            in_circle (dest !basel) (org !basel) (dest !lcand)
-              (dest (onext !lcand))
+            in_circle t (dest t !basel) (org t !basel) (dest t !lcand)
+              (dest t (onext t !lcand))
           do
-            let t = onext !lcand in
-            delete_edge !lcand;
-            lcand := t
+            let e = onext t !lcand in
+            delete_edge t !lcand;
+            lcand := e
           done
         end;
-        let rcand = ref (oprev !basel) in
-        if valid !rcand then begin
+        let rcand = ref (oprev t !basel) in
+        if valid t !basel !rcand then begin
           while
-            in_circle (dest !basel) (org !basel) (dest !rcand)
-              (dest (oprev !rcand))
+            in_circle t (dest t !basel) (org t !basel) (dest t !rcand)
+              (dest t (oprev t !rcand))
           do
-            let t = oprev !rcand in
-            delete_edge !rcand;
-            rcand := t
+            let e = oprev t !rcand in
+            delete_edge t !rcand;
+            rcand := e
           done
         end;
-        if (not (valid !lcand)) && not (valid !rcand) then merging := false
+        if (not (valid t !basel !lcand)) && not (valid t !basel !rcand) then
+          merging := false
         else if
-          (not (valid !lcand))
-          || (valid !rcand
-             && in_circle (dest !lcand) (org !lcand) (org !rcand) (dest !rcand))
-        then basel := connect !rcand (sym !basel)
-        else basel := connect (sym !basel) (sym !lcand)
+          (not (valid t !basel !lcand))
+          || valid t !basel !rcand
+             && in_circle t (dest t !lcand) (org t !lcand) (org t !rcand)
+                  (dest t !rcand)
+        then basel := connect t !rcand (sym !basel)
+        else basel := connect t (sym !basel) (sym !lcand)
       done;
       (!ldo, !rdo)
     end
 
   (* The dual, mirrored: circumcentres of triangular left faces, in the
      same enumeration order as the simulated extraction. *)
-  let circumcenter (ax, ay) (bx, by) (cx, cy) =
-    let d =
-      2. *. ((ax *. (by -. cy)) +. (bx *. (cy -. ay)) +. (cx *. (ay -. by)))
-    in
-    if Float.abs d < 1e-18 then None
-    else begin
-      let a2 = (ax *. ax) +. (ay *. ay) in
-      let b2 = (bx *. bx) +. (by *. by) in
-      let c2 = (cx *. cx) +. (cy *. cy) in
-      let ux =
-        ((a2 *. (by -. cy)) +. (b2 *. (cy -. ay)) +. (c2 *. (ay -. by))) /. d
-      in
-      let uy =
-        ((a2 *. (cx -. bx)) +. (b2 *. (ax -. cx)) +. (c2 *. (bx -. ax))) /. d
-      in
-      Some (ux, uy)
+  let face t seen vertices e =
+    let e1 = lnext t e in
+    if e1 <> e then begin
+      let e2 = lnext t e1 in
+      if e2 <> e && lnext t e2 = e then begin
+        let face_id = min e (min e1 e2) in
+        if not (Faces.mem seen face_id) then begin
+          Faces.replace seen face_id ();
+          let a = org t e and b = org t e1 and c = org t e2 in
+          match
+            face_vertex t.px.(a) t.py.(a) t.px.(b) t.py.(b) t.px.(c) t.py.(c)
+          with
+          | Some v -> vertices := v :: !vertices
+          | None -> ()
+        end
+      end
     end
 
-  let voronoi_vertices alive =
-    let module S = Set.Make (struct
-      type t = int * int
-
-      let compare = compare
-    end) in
-    let seen = ref S.empty in
-    let vertices = ref [] in
-    (* records are cyclic: compare edge parts by id, never structurally *)
-    let same (r1, i1) (r2, i2) = r1.rid = r2.rid && i1 = i2 in
-    List.iter
-      (fun e ->
-        List.iter
-          (fun e ->
-            let rec cycle acc cur steps =
-              if steps > 4 then None
-              else begin
-                let next = lnext cur in
-                if same next e then Some (List.rev (cur :: acc))
-                else cycle (cur :: acc) next (steps + 1)
-              end
-            in
-            match cycle [] e 0 with
-            | Some ([ _; _; _ ] as face) ->
-                let part_key (r, i) = (r.rid * 4) + i in
-                let face_id =
-                  (List.fold_left (fun acc p -> min acc (part_key p)) max_int face, 0)
-                in
-                if not (S.mem face_id !seen) then begin
-                  seen := S.add face_id !seen;
-                  let pts =
-                    List.map (fun part -> let p = org part in (p.px, p.py)) face
-                  in
-                  let pts =
-                    match pts with
-                    | [ a; b; c ] ->
-                        if a <= b && a <= c then [ a; b; c ]
-                        else if b <= a && b <= c then [ b; c; a ]
-                        else [ c; a; b ]
-                    | l -> l
-                  in
-                  match pts with
-                  | [ a; b; c ] -> (
-                      match circumcenter a b c with
-                      | Some v -> vertices := v :: !vertices
-                      | None -> ())
-                  | _ -> ()
-                end
-            | _ -> ())
-          [ e; sym e ])
-      alive;
-    !vertices
-
-  (* Returns the alive (org, dest) index pairs plus the dual's vertices. *)
+  (* Returns the sorted alive-edge keys ({!pair_key}) and the dual's
+     vertices. *)
   let run pts_raw =
-    all_records := [];
-    next_id := 0;
-    let pts =
-      Array.mapi (fun i (x, y) -> { px = x; py = y; idx = i }) pts_raw
+    let n = Array.length pts_raw in
+    let cap = max 4 (3 * n) in
+    let t =
+      {
+        px = Array.map fst pts_raw;
+        py = Array.map snd pts_raw;
+        next = Array.make (4 * cap) 0;
+        data = Array.make (4 * cap) (-1);
+        alive = Bytes.make cap '\000';
+        records = 0;
+      }
     in
-    ignore (delaunay pts 0 (Array.length pts));
-    let alive = List.filter (fun r -> r.alive) !all_records in
-    let pairs =
-      List.map
-        (fun r ->
-          let o = match r.data.(0) with Some p -> p.idx | None -> -1 in
-          let d = match r.data.(2) with Some p -> p.idx | None -> -1 in
-          (min o d, max o d))
-        alive
-    in
-    let dual = voronoi_vertices (List.map (fun r -> (r, 0)) alive) in
-    (List.sort compare pairs, dual)
+    ignore (delaunay t 0 n);
+    let keys = Array.make t.records 0 and nkeys = ref 0 in
+    let seen = Faces.create (2 * n) and vertices = ref [] in
+    for r = t.records - 1 downto 0 do
+      if Bytes.get t.alive r = '\001' then begin
+        keys.(!nkeys) <- pair_key ~n (org t (4 * r)) (dest t (4 * r));
+        incr nkeys;
+        face t seen vertices (4 * r);
+        face t seen vertices (sym (4 * r))
+      end
+    done;
+    let keys = Array.sub keys 0 !nkeys in
+    Array.sort Int.compare keys;
+    (keys, !vertices)
 end
 
 (* --- The Olden program ------------------------------------------------- *)
 
-type eref = Gptr.t * int
-
 type state = {
   sites : sites;
-  mutable records : Gptr.t list; (* every quad-edge record allocated *)
+  mutable records : Gptr.t array; (* every quad-edge record allocated *)
+  mutable nrecords : int;
   point_index : (Gptr.t, int) Hashtbl.t;
 }
 
-let rot ((r, i) : eref) : eref = (r, (i + 1) land 3)
-let sym ((r, i) : eref) : eref = (r, (i + 2) land 3)
-let invrot ((r, i) : eref) : eref = (r, (i + 3) land 3)
+let[@inline] eref (r : Gptr.t) i : eref = ((r :> int) lsl 2) lor i
+let[@inline] record (e : eref) = Gptr.of_int (e lsr 2)
 
-let onext st ((r, i) : eref) : eref =
+let onext st (e : eref) : eref =
+  let r = record e and i = e land 3 in
   let rec_ = Ops.load_ptr st.sites.s_next r (part_next_rec i) in
   let rot_ = Ops.load_int st.sites.s_next r (part_next_rot i) in
-  (rec_, rot_)
+  eref rec_ rot_
 
-let set_onext st ((r, i) : eref) ((tr, ti) : eref) =
-  Ops.store_ptr st.sites.s_next r (part_next_rec i) tr;
-  Ops.store_int st.sites.s_next r (part_next_rot i) ti
+let set_onext st (e : eref) (t : eref) =
+  let r = record e and i = e land 3 in
+  Ops.store_ptr st.sites.s_next r (part_next_rec i) (record t);
+  Ops.store_int st.sites.s_next r (part_next_rot i) (t land 3)
 
 let oprev st e = rot (onext st (rot e))
 let lnext st e = rot (onext st (invrot e))
 let rprev st e = onext st (sym e)
 
-let org st ((r, i) : eref) = Ops.load_ptr st.sites.s_data r (part_data i)
+let org st (e : eref) = Ops.load_ptr st.sites.s_data (record e) (part_data (e land 3))
 let dest st e = org st (sym e)
-
-let coords st p =
-  ( Ops.load_float st.sites.s_point p p_x,
-    Ops.load_float st.sites.s_point p p_y )
 
 let make_edge st a b : eref =
   let r = Ops.alloc ~proc:(Ops.self ()) edge_words in
-  st.records <- r :: st.records;
+  if st.nrecords = Array.length st.records then begin
+    let grown = Array.make (2 * st.nrecords) Gptr.null in
+    Array.blit st.records 0 grown 0 st.nrecords;
+    st.records <- grown
+  end;
+  st.records.(st.nrecords) <- r;
+  st.nrecords <- st.nrecords + 1;
   Ops.work makeedge_work;
-  set_onext st (r, 0) (r, 0);
-  set_onext st (r, 1) (r, 3);
-  set_onext st (r, 2) (r, 2);
-  set_onext st (r, 3) (r, 1);
+  let e = eref r 0 in
+  set_onext st e e;
+  set_onext st (e + 1) (e + 3);
+  set_onext st (e + 2) (e + 2);
+  set_onext st (e + 3) (e + 1);
   Ops.store_ptr st.sites.s_data r (part_data 0) a;
   Ops.store_ptr st.sites.s_data r (part_data 1) Gptr.null;
   Ops.store_ptr st.sites.s_data r (part_data 2) b;
   Ops.store_ptr st.sites.s_data r (part_data 3) Gptr.null;
   Ops.store_int st.sites.s_data r off_alive 1;
-  (r, 0)
+  e
 
 let splice st a b =
   Ops.work splice_work;
@@ -416,31 +430,35 @@ let connect st a b =
 let delete_edge st e =
   splice st e (oprev st e);
   splice st (sym e) (oprev st (sym e));
-  Ops.store_int st.sites.s_data (fst e) off_alive 0
+  Ops.store_int st.sites.s_data (record e) off_alive 0
 
+(* Coordinates are read y first, then x, point by point: the load order
+   test/golden/kernel_pins.txt pins. *)
 let ccw st a b c =
-  let ax, ay = coords st a and bx, by = coords st b and cx, cy = coords st c in
+  let ay = Ops.load_float st.sites.s_point a p_y in
+  let ax = Ops.load_float st.sites.s_point a p_x in
+  let by = Ops.load_float st.sites.s_point b p_y in
+  let bx = Ops.load_float st.sites.s_point b p_x in
+  let cy = Ops.load_float st.sites.s_point c p_y in
+  let cx = Ops.load_float st.sites.s_point c p_x in
   Ops.work ccw_work;
-  ((bx -. ax) *. (cy -. ay)) -. ((by -. ay) *. (cx -. ax)) > 0.
+  ccw_xy ax ay bx by cx cy
 
 let in_circle st a b c d =
-  let ax, ay = coords st a and bx, by = coords st b in
-  let cx, cy = coords st c and dx, dy = coords st d in
+  let ay = Ops.load_float st.sites.s_point a p_y in
+  let ax = Ops.load_float st.sites.s_point a p_x in
+  let by = Ops.load_float st.sites.s_point b p_y in
+  let bx = Ops.load_float st.sites.s_point b p_x in
+  let cy = Ops.load_float st.sites.s_point c p_y in
+  let cx = Ops.load_float st.sites.s_point c p_x in
+  let dy = Ops.load_float st.sites.s_point d p_y in
+  let dx = Ops.load_float st.sites.s_point d p_x in
   Ops.work incircle_work;
-  let az = (ax *. ax) +. (ay *. ay) in
-  let bz = (bx *. bx) +. (by *. by) in
-  let cz = (cx *. cx) +. (cy *. cy) in
-  let dz = (dx *. dx) +. (dy *. dy) in
-  let m11 = ax -. dx and m12 = ay -. dy and m13 = az -. dz in
-  let m21 = bx -. dx and m22 = by -. dy and m23 = bz -. dz in
-  let m31 = cx -. dx and m32 = cy -. dy and m33 = cz -. dz in
-  (m11 *. ((m22 *. m33) -. (m23 *. m32)))
-  -. (m12 *. ((m21 *. m33) -. (m23 *. m31)))
-  +. (m13 *. ((m21 *. m32) -. (m22 *. m31)))
-  > 0.
+  in_circle_xy ax ay bx by cx cy dx dy
 
 let rightof st p e = ccw st p (dest st e) (org st e)
 let leftof st p e = ccw st p (org st e) (dest st e)
+let valid st basel e = rightof st (dest st e) basel
 
 (* Points and range anchors are blocked over the processors; the anchor
    dereference at the head of each subproblem migrates the builder to its
@@ -481,21 +499,22 @@ let rec delaunay st (points : Gptr.t array) (anchors : Gptr.t array) lo hi
           Ops.future (fun () ->
               let r, o = delaunay st points anchors mid hi ~span:half in
               let cell = Ops.alloc ~proc:(Ops.self ()) 4 in
-              Ops.store_ptr st.sites.s_data cell 0 (fst r);
-              Ops.store_int st.sites.s_data cell 1 (snd r);
-              Ops.store_ptr st.sites.s_data cell 2 (fst o);
-              Ops.store_int st.sites.s_data cell 3 (snd o);
+              Ops.store_ptr st.sites.s_data cell 0 (record r);
+              Ops.store_int st.sites.s_data cell 1 (r land 3);
+              Ops.store_ptr st.sites.s_data cell 2 (record o);
+              Ops.store_int st.sites.s_data cell 3 (o land 3);
               Value.Ptr cell)
         in
         let left = delaunay st points anchors lo mid ~span:half in
         let cell = Value.to_ptr (Ops.touch fut) in
+        (* each half-edge reads its rotation word before its record *)
         let rdi =
-          ( Ops.load_ptr st.sites.s_data cell 0,
-            Ops.load_int st.sites.s_data cell 1 )
+          let i = Ops.load_int st.sites.s_data cell 1 in
+          eref (Ops.load_ptr st.sites.s_data cell 0) i
         in
         let rdo =
-          ( Ops.load_ptr st.sites.s_data cell 2,
-            Ops.load_int st.sites.s_data cell 3 )
+          let i = Ops.load_int st.sites.s_data cell 3 in
+          eref (Ops.load_ptr st.sites.s_data cell 2) i
         in
         (left, (rdi, rdo))
       end
@@ -516,9 +535,8 @@ let rec delaunay st (points : Gptr.t array) (anchors : Gptr.t array) lo hi
     if Gptr.equal (org st !rdi) (org st !rdo) then rdo := !basel;
     let merging = ref true in
     while !merging do
-      let valid e = rightof st (dest st e) !basel in
       let lcand = ref (onext st (sym !basel)) in
-      if valid !lcand then begin
+      if valid st !basel !lcand then begin
         while
           in_circle st (dest st !basel) (org st !basel) (dest st !lcand)
             (dest st (onext st !lcand))
@@ -529,7 +547,7 @@ let rec delaunay st (points : Gptr.t array) (anchors : Gptr.t array) lo hi
         done
       end;
       let rcand = ref (oprev st !basel) in
-      if valid !rcand then begin
+      if valid st !basel !rcand then begin
         while
           in_circle st (dest st !basel) (org st !basel) (dest st !rcand)
             (dest st (oprev st !rcand))
@@ -539,12 +557,13 @@ let rec delaunay st (points : Gptr.t array) (anchors : Gptr.t array) lo hi
           rcand := t
         done
       end;
-      if (not (valid !lcand)) && not (valid !rcand) then merging := false
+      if (not (valid st !basel !lcand)) && not (valid st !basel !rcand) then
+        merging := false
       else if
-        (not (valid !lcand))
-        || (valid !rcand
+        (not (valid st !basel !lcand))
+        || valid st !basel !rcand
            && in_circle st (dest st !lcand) (org st !lcand) (org st !rcand)
-                (dest st !rcand))
+                (dest st !rcand)
       then basel := connect st !rcand (sym !basel)
       else basel := connect st (sym !basel) (sym !lcand)
     done;
@@ -557,78 +576,61 @@ let rec delaunay st (points : Gptr.t array) (anchors : Gptr.t array) lo hi
    vertex — its circumcentre; each Delaunay edge crosses one Voronoi edge.
    The faces are enumerated by walking each alive edge's left-face (lnext)
    cycle; triangular cycles yield a vertex, the outer face (a longer
-   cycle) is skipped.  Runs on the simulated machine with cached reads,
-   like the merge. *)
-let circumcenter (ax, ay) (bx, by) (cx, cy) =
-  let d = 2. *. ((ax *. (by -. cy)) +. (bx *. (cy -. ay)) +. (cx *. (ay -. by))) in
-  if Float.abs d < 1e-18 then None
-  else begin
-    let a2 = (ax *. ax) +. (ay *. ay) in
-    let b2 = (bx *. bx) +. (by *. by) in
-    let c2 = (cx *. cx) +. (cy *. cy) in
-    let ux = ((a2 *. (by -. cy)) +. (b2 *. (cy -. ay)) +. (c2 *. (ay -. by))) /. d in
-    let uy = ((a2 *. (cx -. bx)) +. (b2 *. (ax -. cx)) +. (c2 *. (bx -. ax))) /. d in
-    Some (ux, uy)
+   cycle) is skipped after at most five steps.  Runs on the simulated
+   machine with cached reads, like the merge.  A face is keyed by its
+   least edge part so each face counts once within a group (faces
+   straddling groups are deduplicated by the caller). *)
+let face st seen vertices e =
+  let e1 = lnext st e in
+  if e1 <> e then begin
+    let e2 = lnext st e1 in
+    if e2 <> e then begin
+      let e3 = lnext st e2 in
+      if e3 = e then begin
+        let face_id = min e (min e1 e2) in
+        if not (Faces.mem seen face_id) then begin
+          Faces.replace seen face_id ();
+          let a = org st e in
+          let ay = Ops.load_float st.sites.s_point a p_y in
+          let ax = Ops.load_float st.sites.s_point a p_x in
+          let b = org st e1 in
+          let by = Ops.load_float st.sites.s_point b p_y in
+          let bx = Ops.load_float st.sites.s_point b p_x in
+          let c = org st e2 in
+          let cy = Ops.load_float st.sites.s_point c p_y in
+          let cx = Ops.load_float st.sites.s_point c p_x in
+          Ops.work 120 (* circumcentre computation *);
+          match face_vertex ax ay bx by cx cy with
+          | Some v -> vertices := (face_id, v) :: !vertices
+          | None -> ()
+        end
+      end
+      else begin
+        (* not a triangle, but the walk still takes up to five steps:
+           their loads are part of the pinned sequence *)
+        let e4 = lnext st e3 in
+        if e4 <> e then ignore (lnext st e4)
+      end
+    end
   end
 
-(* Enumerate Voronoi vertices: one per triangular left face, keyed by the
-   face's canonical (minimal) edge part so each face counts once within a
-   group (faces straddling groups are deduplicated by the caller). *)
-let voronoi_vertices st ~alive =
-  let module S = Set.Make (struct
-    type t = int * int
-
-    let compare = compare
-  end) in
-  let seen = ref S.empty in
-  let vertices = ref [] in
-  List.iter
-    (fun (e : eref) ->
-      List.iter
-        (fun e ->
-          (* walk the left-face cycle *)
-          let rec cycle acc cur steps =
-            if steps > 4 then None (* outer face: not a triangle *)
-            else begin
-              let next = lnext st cur in
-              if next = e then Some (List.rev (cur :: acc))
-              else cycle (cur :: acc) next (steps + 1)
-            end
-          in
-          match cycle [] e 0 with
-          | Some ([ _; _; _ ] as face) ->
-              let part_key (r, i) = (((r : Gptr.t) :> int) * 4) + i in
-              let face_id =
-                (List.fold_left (fun acc p -> min acc (part_key p)) max_int face, 0)
-              in
-              if not (S.mem face_id !seen) then begin
-                seen := S.add face_id !seen;
-                (* rotate the cycle so it starts at the lexicographically
-                   smallest origin point: intrinsic to the face, so the
-                   circumcentre's operand order is independent of discovery
-                   order and of the parallel schedule *)
-                let pts =
-                  List.map (fun part -> coords st (org st part)) face
-                in
-                Ops.work 120 (* circumcentre computation *);
-                let pts =
-                  match pts with
-                  | [ a; b; c ] ->
-                      if a <= b && a <= c then [ a; b; c ]
-                      else if b <= a && b <= c then [ b; c; a ]
-                      else [ c; a; b ]
-                  | l -> l
-                in
-                match pts with
-                | [ a; b; c ] -> (
-                    match circumcenter a b c with
-                    | Some v -> vertices := (face_id, v) :: !vertices
-                    | None -> ())
-                | _ -> ()
-              end
-          | _ -> ())
-        [ e; sym e ])
-    alive;
+(* The vertices of the faces left of the alive edges among [records]
+   [lo, hi), walked from [hi - 1] down. *)
+let voronoi_vertices st records ~lo ~hi =
+  let seen = Faces.create (hi - lo) and vertices = ref [] in
+  let alive = Array.make (hi - lo) Gptr.null and nalive = ref 0 in
+  for k = hi - 1 downto lo do
+    let r = records.(k) in
+    if Ops.load_int st.sites.s_data r off_alive = 1 then begin
+      alive.(!nalive) <- r;
+      incr nalive
+    end
+  done;
+  for k = 0 to !nalive - 1 do
+    let e = eref alive.(k) 0 in
+    face st seen vertices e;
+    face st seen vertices (sym e)
+  done;
   !vertices
 
 let points_for scale = scaled ~scale ~floor:64 65536
@@ -641,7 +643,14 @@ let run cfg ~scale =
       let prng = Prng.create cfg.Olden_config.seed in
       let raw = Array.init n (fun _ -> (Prng.float prng, Prng.float prng)) in
       Array.sort compare raw;
-      let st = { sites; records = []; point_index = Hashtbl.create (2 * n) } in
+      let st =
+        {
+          sites;
+          records = Array.make (max 4 (3 * n)) Gptr.null;
+          nrecords = 0;
+          point_index = Hashtbl.create (2 * n);
+        }
+      in
       let points =
         Array.mapi
           (fun i (x, y) ->
@@ -670,57 +679,34 @@ let run cfg ~scale =
          space: balanced work with mostly-local reads.  Each chunk's walker
          pins itself on the processor owning the chunk's records and does
          its own alive-filtering there, locally. *)
-      let sorted =
-        List.sort
-          (fun r1 r2 -> compare ((r1 : Gptr.t) :> int) ((r2 : Gptr.t) :> int))
-          st.records
-      in
-      let total = List.length sorted in
+      let sorted = Array.sub st.records 0 st.nrecords in
+      Array.sort Gptr.compare sorted;
+      let total = Array.length sorted in
       let chunk_size = max 1 ((total + nprocs - 1) / nprocs) in
-      let groups = Array.make nprocs [] in
-      List.iteri
-        (fun i r ->
-          let c = min (nprocs - 1) (i / chunk_size) in
-          groups.(c) <- r :: groups.(c))
-        sorted;
+      let chunk_lo p = min total (p * chunk_size) in
+      let chunk_hi p = if p = nprocs - 1 then total else chunk_lo (p + 1) in
       let results = Array.make nprocs [] in
       let dual =
         Ops.call (fun () ->
             let futs =
-              Array.mapi
-                (fun p group ->
+              Array.init nprocs (fun p ->
                   Ops.future (fun () ->
-                      (match group with
-                      | [] -> ()
-                      | r :: _ ->
-                          (* pin this walker on its chunk's processor *)
-                          ignore (Ops.load pin r off_alive);
-                          let alive =
-                            List.filter_map
-                              (fun r ->
-                                if
-                                  Ops.load_int st.sites.s_data r off_alive = 1
-                                then Some (r, 0)
-                                else None)
-                              group
-                          in
-                          results.(p) <- voronoi_vertices st ~alive);
+                      let lo = chunk_lo p and hi = chunk_hi p in
+                      if hi > lo then begin
+                        (* pin this walker on its chunk's processor *)
+                        ignore (Ops.load pin sorted.(hi - 1) off_alive);
+                        results.(p) <- voronoi_vertices st sorted ~lo ~hi
+                      end;
                       Value.Int 0))
-                groups
             in
             Array.iter (fun f -> ignore (Ops.touch f)) futs;
             (* global dedup of faces computed by several groups *)
-            let module S = Set.Make (struct
-              type t = int * int
-
-              let compare = compare
-            end) in
-            let seen = ref S.empty in
+            let seen = Faces.create (2 * total) in
             let out = ref [] in
             Array.iter
               (List.iter (fun (face_id, v) ->
-                   if not (S.mem face_id !seen) then begin
-                     seen := S.add face_id !seen;
+                   if not (Faces.mem seen face_id) then begin
+                     Faces.replace seen face_id ();
                      out := v :: !out
                    end))
               results;
@@ -730,30 +716,36 @@ let run cfg ~scale =
          the reference exactly *)
       let expected_pairs, expected_dual = Reference.run raw in
       let memory = Engine.memory engine in
-      let pairs =
-        List.filter_map
-          (fun r ->
-            if Value.to_int (Memory.load memory r off_alive) = 1 then begin
-              let o = Value.to_ptr (Memory.load memory r (part_data 0)) in
-              let d = Value.to_ptr (Memory.load memory r (part_data 2)) in
-              let oi = Hashtbl.find st.point_index o in
-              let di = Hashtbl.find st.point_index d in
-              Some (min oi di, max oi di)
-            end
-            else None)
-          st.records
-        |> List.sort compare
+      let pairs = Array.make st.nrecords 0 and npairs = ref 0 in
+      for k = 0 to st.nrecords - 1 do
+        let r = st.records.(k) in
+        if Value.to_int (Memory.load memory r off_alive) = 1 then begin
+          let o = Value.to_ptr (Memory.load memory r (part_data 0)) in
+          let d = Value.to_ptr (Memory.load memory r (part_data 2)) in
+          pairs.(!npairs) <-
+            pair_key ~n
+              (Hashtbl.find st.point_index o)
+              (Hashtbl.find st.point_index d);
+          incr npairs
+        end
+      done;
+      let pairs = Array.sub pairs 0 !npairs in
+      Array.sort Int.compare pairs;
+      let sorted l =
+        let a = Array.of_list l in
+        Array.sort compare a;
+        a
       in
+      let got = sorted dual and want = sorted expected_dual in
       let dual_matches =
-        List.length dual = List.length expected_dual
-        && List.for_all2
+        Array.length got = Array.length want
+        && Array.for_all2
              (fun (x1, y1) (x2, y2) -> Float.equal x1 x2 && Float.equal y1 y2)
-             (List.sort compare dual)
-             (List.sort compare expected_dual)
+             got want
       in
       let ok = pairs = expected_pairs && dual_matches in
       ( Printf.sprintf "points=%d edges=%d voronoi-vertices=%d" n
-          (List.length pairs) (List.length dual),
+          (Array.length pairs) (List.length dual),
         ok ))
 
 let spec =

@@ -37,6 +37,12 @@ let offset (p : t) n =
   let a = addr p + n in
   make ~proc:(proc p) ~addr:a
 
+(* Exactly the encodings [make] and [null] produce: the tag bit above the
+   processor field and nothing higher. *)
+let of_int i : t =
+  if i <> 0 && i lsr (addr_bits + 10) <> 1 then invalid_arg "Gptr.of_int";
+  i
+
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Int.compare a b
 let hash (p : t) = Hashtbl.hash p

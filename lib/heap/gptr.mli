@@ -37,6 +37,12 @@ val offset : t -> int -> t
 (** [offset p n] is the pointer [n] words past [p] (field access within an
     object). @raise Invalid_argument on {!null} or out-of-range result. *)
 
+val of_int : int -> t
+(** [of_int (p :> int)] is [p] again, for pointers packed into a larger
+    integer and unpacked.
+    @raise Invalid_argument if the integer is not {!null} and was not
+    made by {!make}. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

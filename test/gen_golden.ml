@@ -4,12 +4,14 @@
      dune exec test/gen_golden.exe            > test/golden/treeadd_p2_trace.jsonl
      dune exec test/gen_golden.exe -- spans   > test/golden/treeadd_p2_spans.jsonl
      dune exec test/gen_golden.exe -- latency > test/golden/latency_crash_mix_p8.jsonl
+     dune exec test/gen_golden.exe -- pins    > test/golden/kernel_pins.txt
 
    Must stay in lockstep with Test_trace.run_treeadd,
    Test_span.run_treeadd and Test_monitor.crash_mix_latency: treeadd at
    2 processors and the minimum tree size; Bisort and Health at 8
    processors, global coherence, crash-mix seed 2, at the test scales;
-   site ids reset before every run. *)
+   site ids reset before every run.  The kernel pins come from
+   Kernel_pins, which the test reads too. *)
 
 open Olden
 module B = Olden_benchmarks
@@ -51,6 +53,7 @@ let () =
   let cfg = Config.make ~nprocs:2 () in
   match mode with
   | "latency" -> latency ()
+  | "pins" -> print_string (Kernel_pins.lines ())
   | "spans" ->
       let o, spans =
         Span.collect (fun () ->

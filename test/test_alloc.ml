@@ -367,6 +367,32 @@ let prop_exemplars =
       list_of_size Gen.(int_range 1 200) (pair (int_range 0 7) (int_range 0 40)))
     exemplars_agree
 
+(* --- Kernel host code ----------------------------------------------- *)
+
+(* Minor words per simulated event of a whole benchmark run at 8
+   processors, its verification against the sequential reference
+   included: the kernels' own host code builds no tuple, option, list
+   node or closure per visit, edge operation or insertion, so what is
+   left is mostly the runtime's.  Each ceiling is the measured value
+   plus about 10%; the tuple-returning kernels measured 7.8, 54 and
+   5.1. *)
+let test_kernel_words (spec : Olden_benchmarks.Common.spec) ~scale ~ceiling () =
+  let module B = Olden_benchmarks in
+  let cfg = C.make ~nprocs:8 () in
+  let outcome = ref None in
+  let words =
+    minor_words (fun () -> outcome := Some (spec.B.Common.run cfg ~scale))
+  in
+  let o = Option.get !outcome in
+  check bool "verified" true o.B.Common.ok;
+  let per_event =
+    words /. float_of_int (B.Hostperf.events_of o.B.Common.total_stats)
+  in
+  check bool
+    (Printf.sprintf "%s: %.3f minor words per event, ceiling %.1f"
+       spec.B.Common.name per_event ceiling)
+    true (per_event <= ceiling)
+
 let suite =
   [
     Alcotest.test_case "Metrics.observe allocates nothing" `Quick test_observe;
@@ -388,4 +414,10 @@ let suite =
       `Quick test_round_trip_serving;
     QCheck_alcotest.to_alcotest prop_write_log;
     QCheck_alcotest.to_alcotest prop_exemplars;
+    Alcotest.test_case "Barnes-Hut within 1.8 words per event" `Quick
+      (test_kernel_words Olden_benchmarks.Barneshut.spec ~scale:16 ~ceiling:1.8);
+    Alcotest.test_case "TSP within 3.2 words per event" `Quick
+      (test_kernel_words Olden_benchmarks.Tsp.spec ~scale:32 ~ceiling:3.2);
+    Alcotest.test_case "Voronoi within 0.9 words per event" `Quick
+      (test_kernel_words Olden_benchmarks.Voronoi.spec ~scale:64 ~ceiling:0.9);
   ]

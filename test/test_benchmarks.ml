@@ -290,6 +290,41 @@ let test_breakeven_platform_shift () =
         (p.Breakeven.cache_cycles <= p.Breakeven.migrate_cycles))
     dsm
 
+(* --- The hand-optimised kernels -------------------------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Barnes-Hut, TSP and Voronoi issue exactly the operation sequence the
+   committed pins were generated from (see Kernel_pins). *)
+let test_kernel_pins () =
+  check Alcotest.string "golden/kernel_pins.txt"
+    (read_file "golden/kernel_pins.txt")
+    (Kernel_pins.lines ())
+
+(* Each kernel agrees with its sequential reference at its minimum
+   problem size for any input seed, processor count and coherence
+   scheme: at 64 points Voronoi spends a large share of its work in the
+   two- and three-point base cases. *)
+let prop_references_agree =
+  let schemes = [ C.Local; C.Global; C.Bilateral ] in
+  QCheck.Test.make ~count:30
+    ~name:"Barnes-Hut, TSP and Voronoi match their references"
+    QCheck.(
+      make
+        ~print:(fun (seed, nprocs, coherence) ->
+          Printf.sprintf "seed=%d nprocs=%d %s" seed nprocs
+            (C.coherence_to_string coherence))
+        Gen.(triple (int_bound 1_000_000) (int_range 1 8) (oneofl schemes)))
+    (fun (seed, nprocs, coherence) ->
+      let cfg = C.make ~nprocs ~coherence ~seed () in
+      List.for_all
+        (fun (s : Common.spec) -> (s.Common.run cfg ~scale:1_000_000).Common.ok)
+        [ Barneshut.spec; Tsp.spec; Voronoi.spec ])
+
 let suite =
   verification_tests
   @ [
@@ -323,4 +358,6 @@ let suite =
         test_breakeven_matches_prediction;
       Alcotest.test_case "break-even shifts with platform" `Slow
         test_breakeven_platform_shift;
+      Alcotest.test_case "kernel pins" `Quick test_kernel_pins;
+      QCheck_alcotest.to_alcotest prop_references_agree;
     ]

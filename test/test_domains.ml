@@ -167,6 +167,27 @@ let test_pool_runs_simulations () =
     (let e = Domain_pool.efficiency st in
      e >= 0. && e <= 1.)
 
+(* --- Benchmark references keep no shared state --------------------------- *)
+
+let test_voronoi_reference_two_domains () =
+  (* two domains running the sequential Voronoi reference at once must
+     each get the single-domain answer *)
+  let rng = Random.State.make [| 11 |] in
+  let raw =
+    Array.init 2048 (fun _ ->
+        let x = Random.State.float rng 1. in
+        (x, Random.State.float rng 1.))
+  in
+  Array.sort compare raw;
+  let expected = B.Voronoi.Reference.run raw in
+  let runs () = List.init 8 (fun _ -> B.Voronoi.Reference.run raw) in
+  let other = Domain.spawn runs in
+  let here = runs () in
+  let there = Domain.join other in
+  List.iteri
+    (fun i r -> check bool (Printf.sprintf "run %d = sequential" i) true (r = expected))
+    (here @ there)
+
 (* --- Event_queue.take releases the vacated slot -------------------------- *)
 
 let test_take_releases_payload () =
@@ -202,4 +223,6 @@ let suite =
       `Quick test_pool_runs_simulations;
     Alcotest.test_case "Event_queue.take releases the vacated slot" `Quick
       test_take_releases_payload;
+    Alcotest.test_case "Voronoi reference on two domains at once" `Quick
+      test_voronoi_reference_two_domains;
   ]

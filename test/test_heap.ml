@@ -41,6 +41,18 @@ let test_gptr_bounds () =
        (Printf.sprintf "Gptr.make: address %d out of range" (Gptr.max_addr + 1)))
     (fun () -> ignore (Gptr.make ~proc:0 ~addr:(Gptr.max_addr + 1)))
 
+let test_gptr_of_int () =
+  List.iter
+    (fun p ->
+      check bool "of_int inverts the coercion" true
+        (Gptr.equal p (Gptr.of_int (p :> int))))
+    [ Gptr.null; Gptr.make ~proc:0 ~addr:0; Gptr.make ~proc:1023 ~addr:Gptr.max_addr ];
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "of_int %d" i)
+        (Invalid_argument "Gptr.of_int") (fun () -> ignore (Gptr.of_int i)))
+    [ 1; -1; Gptr.max_addr; ((Gptr.make ~proc:5 ~addr:7 :> int) lsl 2) lor 3 ]
+
 let prop_gptr_roundtrip =
   QCheck.Test.make ~name:"gptr encode/decode roundtrip" ~count:500
     QCheck.(pair (int_bound (Gptr.max_procs - 1)) (int_bound Gptr.max_addr))
@@ -189,4 +201,5 @@ let suite =
     Alcotest.test_case "read_line" `Quick test_read_line;
     Alcotest.test_case "geometry" `Quick test_geometry;
     QCheck_alcotest.to_alcotest prop_geometry_consistent;
+    Alcotest.test_case "gptr of_int" `Quick test_gptr_of_int;
   ]
