@@ -15,6 +15,8 @@ type t = {
   memory : Memory.t;
   tables : Translation.t array;
   directories : Directory.t array;
+  mutable trace : Trace.emitter;
+      (* the creating domain's until an engine's [exec] binds its own *)
 }
 
 let create cfg machine memory =
@@ -25,17 +27,14 @@ let create cfg machine memory =
     memory;
     tables = Array.init n (fun _ -> Translation.create ());
     directories =
-      Array.init n (fun home ->
-          (* the home's clock stamps the directory's own trace events;
-             registration times are tracked only under a fault schedule,
-             for the recovery checker's sharer-epoch invariant.  The
-             clock reads through the home map: after a fail-stop
-             failover the directory is served by the promoted backup,
-             so its stamps come from the successor's clock. *)
-          Directory.create ~home
-            ~clock:(fun () -> Machine.now machine (Machine.home_of machine home))
-            ~track_registrations:(cfg.C.faults <> None) ());
+      Array.init n (fun _ ->
+          (* registration times are tracked only under a fault schedule,
+             for the recovery checker's sharer-epoch invariant *)
+          Directory.create ~track_registrations:(cfg.C.faults <> None) ());
+    trace = Trace.emitter ();
   }
+
+let bind t trace = t.trace <- trace
 
 let table t proc = t.tables.(proc)
 let directory t home = t.directories.(home)
@@ -44,11 +43,26 @@ let coherence t = t.cfg.C.coherence
 let costs t = t.cfg.C.costs
 
 (* Stamp an event with [proc]'s clock and the engine-deposited thread /
-   site context.  Only ever called under a [Trace.is_on] guard. *)
+   site context.  Only ever called under a [Trace.on] guard. *)
 let emit t ~proc kind =
-  Trace.emit
-    { Trace.time = Machine.now t.machine proc; proc; tid = Trace.thread ();
-      site = Trace.site (); kind }
+  Trace.emit t.trace
+    { Trace.time = Machine.now t.machine proc; proc;
+      tid = Trace.thread t.trace; site = Trace.site t.trace; kind }
+
+(* A directory event: stamped as [home]'s, with the clock of whoever
+   serves [home]'s pages — after a fail-stop failover, the promoted
+   backup. *)
+let emit_dir t ~home kind =
+  Trace.emit t.trace
+    { Trace.time = Machine.now t.machine (Machine.home_of t.machine home);
+      proc = home; tid = Trace.thread t.trace; site = Trace.site t.trace;
+      kind }
+
+(* Bilateral: stamp a written line at its home. *)
+let record_write t ~home ~page_index ~line =
+  Directory.record_write t.directories.(home) ~page_index ~line;
+  if Trace.on t.trace then
+    emit_dir t ~home (Trace.Dir_write { page = page_index; line })
 
 (* Locate (or allocate, on first touch) the cache entry on [proc] for the
    page containing word [addr] of processor [home]. *)
@@ -79,7 +93,7 @@ let revalidate t ~proc (e : Translation.entry) =
   let s = stats t in
   s.Stats.revalidations <- s.Stats.revalidations + 1;
   s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-  if Trace.is_on () then
+  if Trace.on t.trace then
     emit t ~proc
       (Trace.Revalidate { home = e.home; page = e.page_index; dropped });
   e.ts <- ts;
@@ -109,7 +123,7 @@ let fetch_line t ~proc (e : Translation.entry) ~line =
       p.Directory.ever_shared <- true);
   let s = stats t in
   s.Stats.cache_misses <- s.Stats.cache_misses + 1;
-  if Trace.is_on () then
+  if Trace.on t.trace then
     emit t ~proc
       (Trace.Cache_miss { home = e.home; page = e.page_index; line })
 
@@ -134,7 +148,7 @@ let read t ~proc gptr ~field =
     let line = G.line_of_word addr in
     if Translation.line_valid e line then begin
       s.Stats.cache_hits <- s.Stats.cache_hits + 1;
-      if Trace.is_on () then
+      if Trace.on t.trace then
         emit t ~proc
           (Trace.Cache_hit { home; page = e.page_index; line })
     end
@@ -207,7 +221,7 @@ let write t ~proc gptr ~field v ~(log : Write_log.t) =
   let gpage = (home lsl 16) lor page_index in
   log_write t log ~gpage ~line ~home;
   (match coherence t with
-  | C.Bilateral -> Directory.record_write t.directories.(home) ~page_index ~line
+  | C.Bilateral -> record_write t ~home ~page_index ~line
   | C.Global | C.Local -> ());
   if home = proc then begin
     Machine.advance t.machine proc c.C.local_ref;
@@ -250,7 +264,7 @@ let note_migrate_write t ~proc gptr ~field v ~(log : Write_log.t) =
       e.data.(G.word_offset_in_page addr) <- v
   end;
   match coherence t with
-  | C.Bilateral -> Directory.record_write t.directories.(home) ~page_index ~line
+  | C.Bilateral -> record_write t ~home ~page_index ~line
   | C.Global | C.Local -> ()
 
 (* --- Coherence events ---------------------------------------------- *)
@@ -263,14 +277,14 @@ let on_migration_received t ~proc =
   | C.Local ->
       Machine.advance t.machine proc c.C.cache_flush;
       s.Stats.cache_flushes <- s.Stats.cache_flushes + 1;
-      if Trace.is_on () then
+      if Trace.on t.trace then
         emit t ~proc
           (Trace.Cache_flush
              { entries = Translation.entry_count t.tables.(proc) });
       Translation.flush t.tables.(proc)
   | C.Bilateral ->
       Machine.advance t.machine proc c.C.cache_flush;
-      if Trace.is_on () then emit t ~proc Trace.Suspect_all;
+      if Trace.on t.trace then emit t ~proc Trace.Suspect_all;
       Translation.mark_all_suspect t.tables.(proc)
   | C.Global -> ()
 
@@ -286,13 +300,13 @@ let rec invalidate_sharers t ~proc ~gpage ~mask sharer rest =
          (Machine.one_way t.machine ~src:proc ~dst:sharer
             ~service:(costs t).C.invalidate_line);
        s.Stats.invalidation_messages <- s.Stats.invalidation_messages + 1;
-       if Trace.is_on () then
+       if Trace.on t.trace then
          emit t ~proc (Trace.Inval_send { target = sharer; page = page_index });
        let e = Translation.probe t.tables.(sharer) gpage in
        if e != Translation.no_entry then begin
          let dropped = Translation.invalidate_lines e mask in
          s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-         if Trace.is_on () then
+         if Trace.on t.trace then
            emit t ~proc:sharer
              (Trace.Inval_recv { source = proc; page = page_index; dropped })
        end
@@ -334,11 +348,16 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
                  ~service:c.C.invalidate_line);
             s.Stats.invalidation_messages <-
               s.Stats.invalidation_messages + 1;
-            if Trace.is_on () then
+            if Trace.on t.trace then
               emit t ~proc
                 (Trace.Inval_send { target = home; page = page_index })
           end;
-          Directory.bump_timestamp t.directories.(home) ~page_index
+          let d = t.directories.(home) in
+          Directory.bump_timestamp d ~page_index;
+          if Trace.on t.trace then
+            emit_dir t ~home
+              (Trace.Dir_release
+                 { page = page_index; ts = (Directory.get d page_index).ts })
         done;
         Write_log.clear_dirty log
 
@@ -356,14 +375,14 @@ let on_return_received t ~proc ~(log : Write_log.t) =
         Machine.advance t.machine proc
           (c.C.invalidate_line * C.popcount written);
         s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-        if Trace.is_on () && written <> 0 then
+        if Trace.on t.trace && written <> 0 then
           emit t ~proc
             (Trace.Inval_recv { source = -1; page = -1; dropped })
       end
       else begin
         Machine.advance t.machine proc c.C.cache_flush;
         s.Stats.cache_flushes <- s.Stats.cache_flushes + 1;
-        if Trace.is_on () then
+        if Trace.on t.trace then
           emit t ~proc
             (Trace.Cache_flush
                { entries = Translation.entry_count t.tables.(proc) });
@@ -371,7 +390,7 @@ let on_return_received t ~proc ~(log : Write_log.t) =
       end
   | C.Bilateral ->
       Machine.advance t.machine proc c.C.cache_flush;
-      if Trace.is_on () then emit t ~proc Trace.Suspect_all;
+      if Trace.on t.trace then emit t ~proc Trace.Suspect_all;
       Translation.mark_all_suspect t.tables.(proc)
   | C.Global -> ()
 

@@ -14,37 +14,23 @@ type page = {
   mutable ever_shared : bool; (* drives the 7-vs-23-cycle write-track cost *)
 }
 
-module Trace = Olden_trace.Trace
-
+(* Pure bookkeeping: the cache system emits the directory's trace
+   events ([Dir_write], [Dir_release]) on its behalf. *)
 type t = {
   mutable pages : page array;
       (* indexed by local page index (dense from 0 in every section);
          [no_page] where no record was created *)
-  home : int; (* which processor's heap section this directory covers *)
-  clock : unit -> int; (* the home's cycle clock, for event stamps *)
   registered : (int * int, int) Hashtbl.t option;
       (* (page_index, proc) -> time of the latest sharer registration;
          kept only under a fault schedule, where the recovery checker
          needs to prove no mask names a processor past its crash epoch *)
 }
 
-(* Standalone directories (tests, tools) need no identity or clock; the
-   cache system passes both so directory-side events carry real stamps. *)
-let create ?(home = -1) ?(clock = fun () -> 0) ?(track_registrations = false)
-    () =
+let create ?(track_registrations = false) () =
   {
     pages = [||];
-    home;
-    clock;
     registered = (if track_registrations then Some (Hashtbl.create 64) else None);
   }
-
-(* Home-side bookkeeping runs under the home's identity; thread and site
-   context are whatever the engine last deposited. *)
-let emit t kind =
-  Trace.emit
-    { Trace.time = t.clock (); proc = t.home; tid = Trace.thread ();
-      site = Trace.site (); kind }
 
 (* The absent-record sentinel (test with [==]).  Never written: every
    mutation goes through [get], which replaces it first.  Lookups run on
@@ -81,19 +67,17 @@ let get t page_index =
 let iter_pages t f =
   Array.iteri (fun i p -> if p != no_page then f i p) t.pages
 
-let add_sharer ?at t ~page_index ~proc =
+let add_sharer ~at t ~page_index ~proc =
   let p = get t page_index in
   p.ever_shared <- true;
   p.sharers <- p.sharers lor (1 lsl proc);
   match t.registered with
   | None -> ()
   | Some reg ->
-      (* stamp with the *sharer's* clock when the caller provides it: the
-         recovery checker compares registration times against the
-         sharer's crash epoch, and per-processor clocks are not mutually
-         synchronized *)
-      let time = match at with Some time -> time | None -> t.clock () in
-      Hashtbl.replace reg (page_index, proc) time
+      (* [at] is in the *sharer's* clock domain: the recovery checker
+         compares registration times against the sharer's crash epoch,
+         and per-processor clocks are not mutually synchronized *)
+      Hashtbl.replace reg (page_index, proc) at
 
 let registered_at t ~page_index ~proc =
   match t.registered with
@@ -135,16 +119,13 @@ let is_shared t page_index = (find t page_index).ever_shared
    timestamp will be told to drop it. *)
 let record_write t ~page_index ~line =
   let p = get t page_index in
-  p.line_ts.(line) <- p.ts + 1;
-  if Trace.is_on () then emit t (Trace.Dir_write { page = page_index; line })
+  p.line_ts.(line) <- p.ts + 1
 
 (* A release (outgoing migration) makes the logged writes visible:
    advance the page timestamp past all pending stamps. *)
 let bump_timestamp t ~page_index =
   let p = get t page_index in
-  p.ts <- p.ts + 1;
-  if Trace.is_on () then
-    emit t (Trace.Dir_release { page = page_index; ts = p.ts })
+  p.ts <- p.ts + 1
 
 (* Bilateral revalidation: given the sharer's last-validated timestamp,
    return the mask of lines written since then and the current timestamp. *)

@@ -15,22 +15,19 @@ type page = {
 
 type t
 
-val create :
-  ?home:int -> ?clock:(unit -> int) -> ?track_registrations:bool -> unit -> t
-(** [home] is the processor whose heap section this directory covers and
-    [clock] its cycle clock; both only stamp the directory's trace
-    events (defaults: [-1] and a clock stuck at 0, fine for tests).
-    [track_registrations] additionally records when each sharer was
-    registered, which the recovery checker's sharer-epoch invariant
-    consumes (default off: it costs a hash write per registration). *)
+val create : ?track_registrations:bool -> unit -> t
+(** [track_registrations] records when each sharer was registered, which
+    the recovery checker's sharer-epoch invariant consumes (default off:
+    it costs a hash write per registration).  A directory emits no trace
+    events itself; the cache system emits [Dir_write] and [Dir_release]
+    for it, stamped with the home's clock. *)
 
 val get : t -> int -> page
 (** The record for a local page index, created on demand. *)
 
-val add_sharer : ?at:int -> t -> page_index:int -> proc:int -> unit
-(** Register [proc] as a sharer.  [at] stamps the registration time in
-    the sharer's own clock domain (falls back to the home clock) when
-    registration tracking is on. *)
+val add_sharer : at:int -> t -> page_index:int -> proc:int -> unit
+(** Register [proc] as a sharer.  [at] is the registration time in the
+    sharer's own clock domain, kept when registration tracking is on. *)
 
 val remove_sharer : t -> page_index:int -> proc:int -> unit
 

@@ -85,48 +85,51 @@ let home_slot t gpage =
   let h = gpage * 0x3C79AC492BA7B653 in
   (h lsr 24) land t.mask
 
+(* The probe and placement loops are top-level functions of [t], not
+   local closures: a closure over the table would be allocated on every
+   memo miss. *)
+
+(* Linear probe for [gpage] from slot [i]: the live entry (remembered in
+   the memo), or [no_entry] at the first free slot. *)
+let rec seek t gpage i =
+  let e = Array.unsafe_get t.slots i in
+  if e.egen <> t.gen then no_entry
+  else if e.gpage = gpage then begin
+    t.memo <- e;
+    e
+  end
+  else seek t gpage ((i + 1) land t.mask)
+
+(* Store [e] in the first free slot from [i] on. *)
+let rec place t e i =
+  if t.slots.(i).egen <> t.gen then t.slots.(i) <- e
+  else place t e ((i + 1) land t.mask)
+
 (* The hot path: find the live entry for [gpage], or [no_entry] (test
-   with [==]).  Zero allocation; the memo skips even the probe when the
-   same page is touched twice in a row. *)
+   with [==]).  Zero allocation, memo miss included; the memo skips even
+   the probe when the same page is touched twice in a row. *)
 let probe t gpage =
   t.lookups <- t.lookups + 1;
   let m = t.memo in
   if m.gpage = gpage && m.egen = t.gen then m
-  else begin
-    let slots = t.slots and mask = t.mask and gen = t.gen in
-    let rec go i =
-      let e = Array.unsafe_get slots i in
-      if e.egen <> gen then no_entry
-      else if e.gpage = gpage then begin
-        t.memo <- e;
-        e
-      end
-      else go ((i + 1) land mask)
-    in
-    go (home_slot t gpage)
-  end
+  else seek t gpage (home_slot t gpage)
 
 let find t gpage =
   let e = probe t gpage in
   if e == no_entry then None else Some e
 
 (* Double the table, keeping only live entries (stale generations are
-   dropped, which also shortens future probe sequences). *)
+   dropped, which also shortens future probe sequences).  In the fresh
+   slot array a slot is free exactly when it still holds [no_entry]. *)
 let grow t =
   let old = t.slots in
   let cap = 2 * Array.length old in
   t.slots <- Array.make cap no_entry;
   t.mask <- cap - 1;
-  Array.iter
-    (fun e ->
-      if e.egen = t.gen then begin
-        let rec place i =
-          if t.slots.(i) == no_entry then t.slots.(i) <- e
-          else place ((i + 1) land t.mask)
-        in
-        place (home_slot t e.gpage)
-      end)
-    old
+  for i = 0 to Array.length old - 1 do
+    let e = old.(i) in
+    if e.egen = t.gen then place t e (home_slot t e.gpage)
+  done
 
 (* Allocate a (fully invalid) entry for [gpage]; performed at page
    granularity on the first miss to the page, as in Blizzard-S.  The
@@ -146,12 +149,7 @@ let insert t ~gpage ~home ~page_index =
       vepoch = t.sepoch;
     }
   in
-  let mask = t.mask and gen = t.gen in
-  let rec place i =
-    if t.slots.(i).egen <> gen then t.slots.(i) <- e
-    else place ((i + 1) land mask)
-  in
-  place (home_slot t gpage);
+  place t e (home_slot t gpage);
   t.live <- t.live + 1;
   t.ever <- t.ever + 1;
   t.memo <- e;

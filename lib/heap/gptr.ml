@@ -31,6 +31,9 @@ let addr (p : t) =
   if is_null p then invalid_arg "Gptr.addr: null pointer";
   p land addr_mask
 
+let unsafe_proc (p : t) = (p lsr addr_bits) land (max_procs - 1)
+let unsafe_addr (p : t) = p land addr_mask
+
 (* Pointer arithmetic within an object: fields are word offsets. *)
 let offset (p : t) n =
   if is_null p then invalid_arg "Gptr.offset: null pointer";

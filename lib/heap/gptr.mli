@@ -33,6 +33,11 @@ val proc : t -> int
 val addr : t -> int
 (** Local word address. @raise Invalid_argument on {!null}. *)
 
+val unsafe_proc : t -> int
+val unsafe_addr : t -> int
+(** {!proc} and {!addr} without the null test, for callers that have
+    just made it; on {!null} they return processor 0, address 0. *)
+
 val offset : t -> int -> t
 (** [offset p n] is the pointer [n] words past [p] (field access within an
     object). @raise Invalid_argument on {!null} or out-of-range result. *)

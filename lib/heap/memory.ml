@@ -81,17 +81,23 @@ let out_of_range p field =
     (Printf.sprintf "Memory: %s+%d: address out of allocated range"
        (Gptr.to_string p) field)
 
-(* Direct (home) accesses; the runtime charges their costs. *)
+(* The same [Invalid_argument] a null pointer raises in [Gptr.proc]. *)
+let null_pointer () = invalid_arg "Gptr.proc: null pointer"
+
+(* Direct (home) accesses; the runtime charges their costs.  One null
+   test, then the pointer is decoded without re-testing it. *)
 
 let load t p field =
-  let proc = Gptr.proc p and addr = Gptr.addr p + field in
+  if Gptr.is_null p then null_pointer ();
+  let proc = Gptr.unsafe_proc p and addr = Gptr.unsafe_addr p + field in
   if proc >= nprocs t then no_processor p;
   let s = t.sections.(proc) in
   if addr < 0 || addr >= s.used then out_of_range p field;
   get s addr
 
 let store t p field v =
-  let proc = Gptr.proc p and addr = Gptr.addr p + field in
+  if Gptr.is_null p then null_pointer ();
+  let proc = Gptr.unsafe_proc p and addr = Gptr.unsafe_addr p + field in
   if proc >= nprocs t then no_processor p;
   let s = t.sections.(proc) in
   if addr < 0 || addr >= s.used then out_of_range p field;

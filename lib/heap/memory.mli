@@ -23,9 +23,11 @@ val words_used : t -> int -> int
 
 val load : t -> Gptr.t -> int -> Value.t
 (** [load t p field] reads the word at [p + field].
-    @raise Invalid_argument outside the allocated range. *)
+    @raise Invalid_argument on {!Gptr.null} (the message {!Gptr.proc}
+    gives) and outside the allocated range. *)
 
 val store : t -> Gptr.t -> int -> Value.t -> unit
+(** Writes the word at [p + field]; raises as {!load} does. *)
 
 val blit_line :
   t -> proc:int -> line_index:int -> dst:Value.t array -> dst_pos:int -> unit

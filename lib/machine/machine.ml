@@ -36,6 +36,9 @@ type t = {
   ingress : int array;
       (* open-loop serving requests admitted at each processor; identity
          zero outside serving runs, so batch exports never see it *)
+  mutable span : Span.state;
+      (* the span state of the domain running the machine: the creating
+         domain's until an engine's [exec] binds its own ([bind]) *)
 }
 
 exception
@@ -68,7 +71,11 @@ let create cfg =
     intervals = [];
     record_intervals = false;
     ingress = Array.make n 0;
+    span = Span.state ();
   }
+
+let bind t span = t.span <- span
+let span t = t.span
 
 let set_record_intervals t flag = t.record_intervals <- flag
 let busy_intervals t = List.rev t.intervals
@@ -158,15 +165,15 @@ let stall t proc cycles =
 let note_drop t ~dst ~time ~attempt ~outage =
   t.stats.Stats.msg_drops <- t.stats.Stats.msg_drops + 1;
   if outage then t.stats.Stats.outage_drops <- t.stats.Stats.outage_drops + 1;
-  if Span.is_on () then
-    Span.child ~kind:Span.Drop ~proc:dst ~t0:time ~t1:time ~a:attempt
+  if Span.on t.span then
+    Span.child t.span ~kind:Span.Drop ~proc:dst ~t0:time ~t1:time ~a:attempt
       ~b:(if outage then 1 else 0)
 
 let note_delay t ~dst ~time ~cycles =
   if cycles > 0 then begin
     t.stats.Stats.msg_delays <- t.stats.Stats.msg_delays + 1;
-    if Span.is_on () then
-      Span.child ~kind:Span.Delay ~proc:dst ~t0:(time - cycles) ~t1:time
+    if Span.on t.span then
+      Span.child t.span ~kind:Span.Delay ~proc:dst ~t0:(time - cycles) ~t1:time
         ~a:cycles ~b:0
   end
 
@@ -181,8 +188,8 @@ let note_suppressed t ~dst ~time =
   t.stats.Stats.msg_duplicates <- t.stats.Stats.msg_duplicates + 1;
   t.stats.Stats.duplicates_suppressed <-
     t.stats.Stats.duplicates_suppressed + 1;
-  if Span.is_on () then
-    Span.child ~kind:Span.Dup ~proc:dst ~t0:time ~t1:time ~a:0 ~b:0
+  if Span.on t.span then
+    Span.child t.span ~kind:Span.Dup ~proc:dst ~t0:time ~t1:time ~a:0 ~b:0
 
 let note_duplicate t ~dst ~time =
   t.stats.Stats.messages <- t.stats.Stats.messages + 1;
@@ -196,8 +203,8 @@ let note_retry t plan ~dst ~klass ~time ~attempt =
   let wait = Fault_plan.retry_wait plan ~attempt in
   t.stats.Stats.retries <- t.stats.Stats.retries + 1;
   t.stats.Stats.retry_cycles <- t.stats.Stats.retry_cycles + wait;
-  if Span.is_on () then
-    Span.child ~kind:Span.Backoff ~proc:dst ~t0:time ~t1:(time + wait)
+  if Span.on t.span then
+    Span.child t.span ~kind:Span.Backoff ~proc:dst ~t0:time ~t1:(time + wait)
       ~a:attempt ~b:wait;
   wait
 
@@ -302,17 +309,17 @@ let klass_code = function
 
 (* Emit the Rpc envelope span of a round trip opened at [t0]. *)
 let close_rpc t ~id ~prev ~klass ~src ~dst ~t0 =
-  Span.exit_emit ~id ~prev ~kind:Span.Rpc ~proc:src ~t0 ~t1:t.clock.(src)
+  Span.exit_emit t.span ~id ~prev ~kind:Span.Rpc ~proc:src ~t0 ~t1:t.clock.(src)
     ~a:dst ~b:(klass_code klass)
 
 let request_reply ?(klass = Fault_plan.Data) t ~src ~dst ~service =
   let dst = resolve t dst in
-  if Span.is_on () then begin
+  if Span.on t.span then begin
     (* one Rpc envelope span per logical round trip; the fault events
        the legs emit (drop/backoff/delay/dup) nest under it *)
     let t0 = t.clock.(src) in
-    let prev = Span.parent () in
-    let id = Span.enter () in
+    let prev = Span.parent t.span in
+    let id = Span.enter t.span in
     match
       match t.fault with
       | None -> request_reply_reliable t ~src ~dst ~service

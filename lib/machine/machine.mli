@@ -20,6 +20,16 @@ val undeliverable_to_string :
     what the CLI prints and what tests assert against. *)
 
 val create : Olden_config.t -> t
+(** A fresh machine whose span hooks emit into the calling domain's span
+    state until {!bind} says otherwise. *)
+
+val bind : t -> Olden_span.Span.state -> unit
+(** Emit into this span state from now on.  The engine calls it when its
+    [exec] starts, with the executing domain's state. *)
+
+val span : t -> Olden_span.Span.state
+(** The bound span state, for the layers that emit under the machine
+    (recovery, failover). *)
 
 val nprocs : t -> int
 val costs : t -> Olden_config.costs

@@ -173,12 +173,12 @@ let windows t = List.rev t.rev_windows
 
 (* One installed monitor per domain: runs on different domains of the
    parallel sweep driver sample independently. *)
-let active_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+type slot = t option ref
 
-let active () = Domain.DLS.get active_key
+let slot_key : slot Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let slot () = Domain.DLS.get slot_key
 
-let is_on () = match !(active ()) with Some _ -> true | None -> false
+let is_on () = match !(slot ()) with Some _ -> true | None -> false
 
 (* The first slot holding mechanism [m]'s smallest exemplar. *)
 let min_slot t m =
@@ -276,13 +276,13 @@ let request_m t ~code ~cycles =
 
 (* The span consumer: each episode is measured once, where it is
    emitted, and every latency histogram reads that emission. *)
-let note t ~tp ~ts ~(kind : Span.kind) ~t0 ~t1 ~a ~b =
+let note t sp ~tp ~ts ~(kind : Span.kind) ~t0 ~t1 ~a ~b =
   match kind with
   | Deref -> deref_m t ~sid:a ~m:b ~cycles:(t1 - t0) ~tp ~ts
   | Recv ->
       (* under a dereference root, the migrated state restarting at its
          target: the migration leg, from episode entry *)
-      let r0 = Span.deref_t0 () in
+      let r0 = Span.deref_t0 sp in
       if r0 >= 0 then Metrics.observe t.migration_h (t1 - r0)
   | Return -> Metrics.observe t.return_h (t1 - t0)
   | Backoff -> Metrics.observe t.retry_h b
@@ -293,20 +293,22 @@ let note t ~tp ~ts ~(kind : Span.kind) ~t0 ~t1 ~a ~b =
       ()
 
 let install m =
-  let a = active () in
+  let a = slot () in
   (match !a with
   | Some _ -> invalid_arg "Monitor.install: a monitor is already installed"
   | None -> ());
   a := Some m;
+  (* the consumer is attached to this domain's span state, so the state
+     it reads the open root from is that one *)
+  let sp = Span.state () in
   Span.attach_monitor (fun ~tp ~ts ~kind ~t0 ~t1 ~a ~b ->
-      note m ~tp ~ts ~kind ~t0 ~t1 ~a ~b)
+      note m sp ~tp ~ts ~kind ~t0 ~t1 ~a ~b)
 
 let uninstall () =
-  active () := None;
+  slot () := None;
   Span.detach_monitor ()
 
-let tick time =
-  match !(active ()) with None -> () | Some t -> tick_m t time
+let tick slot time = match !slot with None -> () | Some t -> tick_m t time
 
 (* --- Latency summaries ------------------------------------------------- *)
 

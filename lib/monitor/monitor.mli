@@ -81,7 +81,14 @@ val uninstall : unit -> unit
 
 val is_on : unit -> bool
 
-val tick : int -> unit
+type slot
+(** Where a domain's installed monitor is kept. *)
+
+val slot : unit -> slot
+(** This domain's slot: one domain-local read.  The engine binds it when
+    its [exec] starts, so its per-step {!tick} reads no key. *)
+
+val tick : slot -> int -> unit
 (** Advance the window clock to the scheduler's global virtual time
     (monotonically non-decreasing across calls); closes every interval
     window that time has passed.  A no-op when no monitor is

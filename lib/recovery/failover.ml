@@ -116,9 +116,10 @@ let fail_over t ~victim =
   let died = Machine.now t.machine victim in
   let t0 = Machine.now t.machine successor in
   let module Span = Olden_span.Span in
-  let span_on = Span.is_on () in
-  let sprev = if span_on then Span.parent () else -1 in
-  let sid = if span_on then Span.enter () else -1 in
+  let sp = Machine.span t.machine in
+  let span_on = Span.on sp in
+  let sprev = if span_on then Span.parent sp else -1 in
+  let sid = if span_on then Span.enter sp else -1 in
   Machine.mark_dead t.machine victim;
   ps.died_at <- died;
   ps.successor <- successor;
@@ -190,7 +191,7 @@ let fail_over t ~victim =
   let stall = Machine.now t.machine successor - t0 in
   ps.stall_cycles <- ps.stall_cycles + stall;
   if span_on then
-    Span.exit_emit ~id:sid ~prev:sprev ~kind:Span.Failover ~proc:successor
+    Span.exit_emit sp ~id:sid ~prev:sprev ~kind:Span.Failover ~proc:successor
       ~t0
       ~t1:(Machine.now t.machine successor)
       ~a:!moved ~b:victim;

@@ -101,9 +101,10 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
      Rpc spans (and any drop/backoff events) nest under it — a crash in
      the middle of a dereference shows up inside that episode's tree *)
   let module Span = Olden_span.Span in
-  let span_on = Span.is_on () in
-  let sprev = if span_on then Span.parent () else -1 in
-  let sid = if span_on then Span.enter () else -1 in
+  let sp = Machine.span t.machine in
+  let span_on = Span.on sp in
+  let sprev = if span_on then Span.parent sp else -1 in
+  let sid = if span_on then Span.enter sp else -1 in
   if ps.crashes = 0 then
     ps.ever_at_first_crash <- Translation.entries_ever (Cache.table t.cache proc);
   ps.crashes <- ps.crashes + 1;
@@ -144,7 +145,7 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
   ps.stall_cycles <- ps.stall_cycles + stall;
   s.Stats.recovery_stall_cycles <- s.Stats.recovery_stall_cycles + stall;
   if span_on then
-    Span.exit_emit ~id:sid ~prev:sprev ~kind:Span.Crash ~proc ~t0
+    Span.exit_emit sp ~id:sid ~prev:sprev ~kind:Span.Crash ~proc ~t0
       ~t1:(Machine.now t.machine proc) ~a:lost ~b:!homes
 
 (* Is a crash due on [proc] right now?  Forced orders (tests) fire first,

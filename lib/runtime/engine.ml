@@ -75,6 +75,12 @@ type t = {
   mutable e_psite : Site.t option;
   mutable e_cell : fut;
   mutable e_target : int;
+  (* the executing domain's instrumentation, bound by [exec] (see
+     [bind]): every hook below tests these fields and reads no
+     domain-local key *)
+  mutable tr : Trace.emitter;
+  mutable sp : Span.state;
+  mutable mon : Monitor.slot;
 }
 
 (* Placeholder until [create] installs the engine's own handler. *)
@@ -154,6 +160,9 @@ let create_state cfg =
     e_psite = None;
     e_cell = no_cell;
     e_target = 0;
+    tr = Trace.emitter ();
+    sp = Span.state ();
+    mon = Monitor.slot ();
   }
 
 let memory t = t.memory
@@ -242,9 +251,9 @@ let now t = Machine.now t.machine t.cur_proc
 let advance t cycles = Machine.advance t.machine t.cur_proc cycles
 
 (* Structured event emission (Olden_trace).  Every call site is guarded
-   on [Trace.is_on] so nothing is allocated when no sink is installed. *)
+   on [Trace.on t.tr] so nothing is allocated when no sink is installed. *)
 let emit t ?(site = -1) kind =
-  Trace.emit
+  Trace.emit t.tr
     { Trace.time = now t; proc = t.cur_proc; tid = t.cur_thread.tid; site;
       kind }
 
@@ -283,7 +292,7 @@ let resolve t (cell : fut) v =
   | Done _ -> failwith "Engine: future resolved twice"
   | Pending waiters ->
       cell.state <- Done v;
-      if Trace.is_on () then
+      if Trace.on t.tr then
         emit t
           (Trace.Future_resolve
              { fid = cell.fid; waiters = List.length waiters });
@@ -356,7 +365,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
   (* an outgoing migration is a release point *)
   Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:thread.log;
   advance t c.C.migrate_send;
-  if Trace.is_on () then emit t ~site (Trace.Migrate_send { target });
+  if Trace.on t.tr then emit t ~site (Trace.Migrate_send { target });
   Machine.count_bytes t.machine 256 (* registers + PC + frame *);
   let send_done = now t in
   let ready_at = send_done + c.C.net_latency + penalty in
@@ -366,15 +375,15 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
      send [ep0, send_done], wire, penalty, queue, replay, recv, service —
      so their durations sum exactly to the episode latency. *)
   let sctx =
-    if Span.is_on () then begin
-      Span.child ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done ~a:target
-        ~b:0;
-      Span.child ~kind:Span.Wire ~proc:source ~t0:send_done
+    if Span.on t.sp then begin
+      Span.child t.sp ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done
+        ~a:target ~b:0;
+      Span.child t.sp ~kind:Span.Wire ~proc:source ~t0:send_done
         ~t1:(send_done + c.C.net_latency) ~a:0 ~b:0;
       if penalty > 0 then
-        Span.child ~kind:Span.Penalty ~proc:target
+        Span.child t.sp ~kind:Span.Penalty ~proc:target
           ~t0:(send_done + c.C.net_latency) ~t1:ready_at ~a:penalty ~b:0;
-      Span.save ()
+      Span.save t.sp
     end
     else Span.no_ctx
   in
@@ -387,13 +396,13 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
              the state was in flight, this event was re-homed and now
              runs on the promoted successor's clock *)
           let target = t.cur_proc in
-          let span_on = Span.is_on () in
+          let span_on = Span.on t.sp in
           let t_arr = Machine.now t.machine target in
           if span_on then begin
-            Span.restore sctx;
+            Span.restore t.sp sctx;
             if t_arr > ready_at then
-              Span.child ~kind:Span.Queue ~proc:target ~t0:ready_at ~t1:t_arr
-                ~a:0 ~b:0
+              Span.child t.sp ~kind:Span.Queue ~proc:target ~t0:ready_at
+                ~t1:t_arr ~a:0 ~b:0
           end;
           (* the target may have crashed while the state was in flight:
              recover first, then install — the transfer itself survives
@@ -401,11 +410,11 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           check_crash t ~proc:target ~thread;
           let t_rc = Machine.now t.machine target in
           if span_on && t_rc > t_arr then
-            Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr ~t1:t_rc ~a:0
-              ~b:0;
+            Span.child t.sp ~kind:Span.Replay ~proc:target ~t0:t_arr ~t1:t_rc
+              ~a:0 ~b:0;
           Machine.advance t.machine target c.C.migrate_recv;
-          if Trace.is_on () then
-            Trace.emit
+          if Trace.on t.tr then
+            Trace.emit t.tr
               { Trace.time = Machine.now t.machine target; proc = target;
                 tid = thread.tid; site;
                 kind = Trace.Migrate_arrive { source } };
@@ -417,14 +426,15 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           thread.seat <- vseat;
           let t_recv = Machine.now t.machine target in
           if span_on then
-            Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_recv ~a:0
-              ~b:0;
+            Span.child t.sp ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_recv
+              ~a:0 ~b:0;
           let v = complete () in
           if span_on then begin
             let t_done = Machine.now t.machine target in
-            Span.child ~kind:Span.Service ~proc:target ~t0:t_recv ~t1:t_done
-              ~a:0 ~b:0;
-            Span.close_root ~t1:t_done ~a:site ~b:2 (* mech code: migrate *)
+            Span.child t.sp ~kind:Span.Service ~proc:target ~t0:t_recv
+              ~t1:t_done ~a:0 ~b:0;
+            Span.close_root t.sp ~t1:t_done ~a:site
+              ~b:2 (* mech code: migrate *)
           end;
           Effect.Deep.continue k v);
     }
@@ -449,20 +459,21 @@ let immediate_alloc t ~proc words =
   else begin
     (stats t).Stats.remote_allocs <- (stats t).Stats.remote_allocs + 1;
     advance t (c.C.alloc_local + c.C.alloc_service);
-    if Trace.is_on () then emit t (Trace.Remote_alloc { home = proc; words })
+    if Trace.on t.tr then emit t (Trace.Remote_alloc { home = proc; words })
   end;
   Memory.alloc t.memory ~proc words
 
 (* A dereference through the software cache: the body of the [C.Cache]
    arms below, also the degraded path a migration falls back to when its
-   home keeps dropping thread transfers. *)
+   home keeps dropping thread transfers.  Every caller has tested [g] for
+   null already, here and in the migrate arms below. *)
 let cached_load t (site : Site.t) g field =
   site.Site.loads <- site.Site.loads + 1;
-  if Gptr.proc g <> t.cur_proc then
+  if Gptr.unsafe_proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
-  if Trace.is_on () then begin
-    Trace.set_thread t.cur_thread.tid;
-    Trace.set_site site.Site.sid
+  if Trace.on t.tr then begin
+    Trace.set_thread t.tr t.cur_thread.tid;
+    Trace.set_site t.tr site.Site.sid
   end;
   let s = stats t in
   let before = s.Stats.cache_misses in
@@ -474,11 +485,11 @@ let cached_load t (site : Site.t) g field =
 
 let cached_store t (site : Site.t) g field v =
   site.Site.stores <- site.Site.stores + 1;
-  if Gptr.proc g <> t.cur_proc then
+  if Gptr.unsafe_proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
-  if Trace.is_on () then begin
-    Trace.set_thread t.cur_thread.tid;
-    Trace.set_site site.Site.sid
+  if Trace.on t.tr then begin
+    Trace.set_thread t.tr t.cur_thread.tid;
+    Trace.set_site t.tr site.Site.sid
   end;
   let s = stats t in
   let retries_before = s.Stats.retries in
@@ -518,7 +529,7 @@ let immediate_load_u t (site : Site.t) g field =
            home fail-stopped over to *this* processor are local now
            (identity until a failover, so fault-free behaviour is
            untouched) *)
-        let home = Gptr.proc g in
+        let home = Gptr.unsafe_proc g in
         if Machine.home_of t.machine home = t.cur_proc then begin
           if t.cur_thread.seat <> home then collapsed_hop t ~seat:home;
           site.Site.loads <- site.Site.loads + 1;
@@ -543,7 +554,7 @@ let immediate_store_u t (site : Site.t) g field v =
     match effective_mechanism t site with
     | C.Cache -> cached_store t site g field v
     | C.Migrate ->
-        let home = Gptr.proc g in
+        let home = Gptr.unsafe_proc g in
         if Machine.home_of t.machine home = t.cur_proc then begin
           if t.cur_thread.seat <> home then collapsed_hop t ~seat:home;
           site.Site.stores <- site.Site.stores + 1;
@@ -577,22 +588,24 @@ let completed_mech t (site : Site.t) =
   else match effective_mechanism t site with C.Cache -> 1 | C.Migrate -> 0
 
 let immediate_load t (site : Site.t) g field =
-  if not (Span.is_on ()) then immediate_load_u t site g field
+  if not (Span.on t.sp) then immediate_load_u t site g field
   else begin
-    if not (Span.root_open ()) then
-      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
+    if not (Span.root_open t.sp) then
+      Span.open_root t.sp ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
     let v = immediate_load_u t site g field in
-    Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(completed_mech t site);
+    Span.close_root t.sp ~t1:(now t) ~a:site.Site.sid
+      ~b:(completed_mech t site);
     v
   end
 
 let immediate_store t (site : Site.t) g field v =
-  if not (Span.is_on ()) then immediate_store_u t site g field v
+  if not (Span.on t.sp) then immediate_store_u t site g field v
   else begin
-    if not (Span.root_open ()) then
-      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
+    if not (Span.root_open t.sp) then
+      Span.open_root t.sp ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
     immediate_store_u t site g field v;
-    Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(completed_mech t site)
+    Span.close_root t.sp ~t1:(now t) ~a:site.Site.sid
+      ~b:(completed_mech t site)
   end
 
 let immediate_touch t (cell : fut) =
@@ -602,7 +615,7 @@ let immediate_touch t (cell : fut) =
       let s = stats t in
       s.Stats.touches <- s.Stats.touches + 1;
       advance t c.C.future_touch;
-      if Trace.is_on () then
+      if Trace.on t.tr then
         emit t (Trace.Future_touch { fid = cell.fid; parked = false });
       acquire_result t ~proc:t.cur_proc ~toucher:t.cur_thread cell;
       v
@@ -659,10 +672,10 @@ let try_migrate t ~(site : Site.t) ~home =
       s.Stats.migration_fallbacks <- s.Stats.migration_fallbacks + 1;
       site.Site.fallbacks <- site.Site.fallbacks + 1;
       Machine.stall t.machine t.cur_proc penalty;
-      if Span.is_on () then begin
-        Span.child ~kind:Span.Stall ~proc:t.cur_proc ~t0:(now t - penalty)
+      if Span.on t.sp then begin
+        Span.child t.sp ~kind:Span.Stall ~proc:t.cur_proc ~t0:(now t - penalty)
           ~t1:(now t) ~a:penalty ~b:attempts;
-        Span.child ~kind:Span.Fallback ~proc:t.cur_proc ~t0:(now t)
+        Span.child t.sp ~kind:Span.Fallback ~proc:t.cur_proc ~t0:(now t)
           ~t1:(now t) ~a:home ~b:attempts
       end;
       -1
@@ -685,12 +698,13 @@ let try_migrate t ~(site : Site.t) ~home =
    hop, as on the target side, so the hops tile the episode from the
    root's own entry. *)
 let resume_root t ~ep0 =
-  if not (Span.root_open ()) then
-    Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0
+  if not (Span.root_open t.sp) then
+    Span.open_root t.sp ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0
   else begin
-    let r0 = Span.deref_t0 () in
+    let r0 = Span.deref_t0 t.sp in
     if r0 >= 0 && ep0 > r0 then
-      Span.child ~kind:Span.Replay ~proc:t.cur_proc ~t0:r0 ~t1:ep0 ~a:0 ~b:0
+      Span.child t.sp ~kind:Span.Replay ~proc:t.cur_proc ~t0:r0 ~t1:ep0 ~a:0
+        ~b:0
   end
 
 let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
@@ -702,7 +716,7 @@ let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
       (* the reference must migrate: only here is the fiber captured *)
       let c = costs t in
       let home = Gptr.proc g in
-      if Span.is_on () then resume_root t ~ep0;
+      if Span.on t.sp then resume_root t ~ep0;
       advance t c.C.pointer_test;
       let penalty = try_migrate t ~site ~home in
       if penalty >= 0 then begin
@@ -720,15 +734,15 @@ let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
             Memory.load t.memory g field)
       end
       else begin
-        let sp = Span.is_on () in
-        let prev = if sp then Span.parent () else -1 in
-        let cid = if sp then Span.enter () else -1 in
+        let sp = Span.on t.sp in
+        let prev = if sp then Span.parent t.sp else -1 in
+        let cid = if sp then Span.enter t.sp else -1 in
         let cs0 = now t in
         let v = cached_load t site g field in
         if sp then begin
-          Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
+          Span.exit_emit t.sp ~id:cid ~prev ~kind:Span.Cache_service
             ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-          Span.close_root ~t1:(now t) ~a:site.Site.sid
+          Span.close_root t.sp ~t1:(now t) ~a:site.Site.sid
             ~b:3 (* mech code: fallback *)
         end;
         Effect.Deep.continue k v
@@ -743,7 +757,7 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
   | exception Must_perform -> (
       let c = costs t in
       let home = Gptr.proc g in
-      if Span.is_on () then resume_root t ~ep0;
+      if Span.on t.sp then resume_root t ~ep0;
       advance t c.C.pointer_test;
       let penalty = try_migrate t ~site ~home in
       if penalty >= 0 then begin
@@ -761,15 +775,15 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
               ~log:t.cur_thread.log)
       end
       else begin
-        let sp = Span.is_on () in
-        let prev = if sp then Span.parent () else -1 in
-        let cid = if sp then Span.enter () else -1 in
+        let sp = Span.on t.sp in
+        let prev = if sp then Span.parent t.sp else -1 in
+        let cid = if sp then Span.enter t.sp else -1 in
         let cs0 = now t in
         cached_store t site g field v;
         if sp then begin
-          Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
+          Span.exit_emit t.sp ~id:cid ~prev ~kind:Span.Cache_service
             ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-          Span.close_root ~t1:(now t) ~a:site.Site.sid
+          Span.close_root t.sp ~t1:(now t) ~a:site.Site.sid
             ~b:3 (* mech code: fallback *)
         end;
         Effect.Deep.continue k ()
@@ -792,7 +806,7 @@ let future_arm t (k : (fut, unit) Effect.Deep.continuation) =
       resolver_log = None;
     }
   in
-  if Trace.is_on () then emit t (Trace.Future_spawn { fid = cell.fid });
+  if Trace.on t.tr then emit t (Trace.Future_spawn { fid = cell.fid });
   (* Save the return continuation on this processor's work list.  If it
      is stolen it becomes a new thread (with a fresh write log); if the
      body completes without migrating, the processor pops it right back
@@ -821,7 +835,7 @@ let touch_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
           let s = stats t in
           s.Stats.touches <- s.Stats.touches + 1;
           advance t c.C.future_touch;
-          if Trace.is_on () then
+          if Trace.on t.tr then
             emit t (Trace.Future_touch { fid = cell.fid; parked = true });
           let label =
             match psite with
@@ -856,7 +870,7 @@ let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
   else begin
     let c = costs t in
     let s = stats t in
-    let sp = Span.is_on () in
+    let sp = Span.on t.sp in
     let ep0 = now t in
     s.Stats.returns <- s.Stats.returns + 1;
     let thread = t.cur_thread in
@@ -864,12 +878,12 @@ let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
     (* a return stub is its own episode: a fresh root whose children are
        its send/wire/penalty/queue/replay/recv hops and any fault events
        along the way *)
-    if sp && not (Span.root_open ()) then
-      Span.open_root ~kind:Span.Return ~proc:source ~t0:ep0;
+    if sp && not (Span.root_open t.sp) then
+      Span.open_root t.sp ~kind:Span.Return ~proc:source ~t0:ep0;
     (* a return is also a release point *)
     Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:thread.log;
     advance t c.C.return_send;
-    if Trace.is_on () then emit t (Trace.Return_send { target });
+    if Trace.on t.tr then emit t (Trace.Return_send { target });
     Machine.count_bytes t.machine 64 (* registers + return addr *);
     (* a return stub must reach its origin: retry without an attempt
        bound (only [max_attempts] backstops it) *)
@@ -881,14 +895,14 @@ let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
     let ready_at = send_done + c.C.net_latency + penalty in
     let sctx =
       if sp then begin
-        Span.child ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done
+        Span.child t.sp ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done
           ~a:target ~b:0;
-        Span.child ~kind:Span.Wire ~proc:source ~t0:send_done
+        Span.child t.sp ~kind:Span.Wire ~proc:source ~t0:send_done
           ~t1:(send_done + c.C.net_latency) ~a:0 ~b:0;
         if penalty > 0 then
-          Span.child ~kind:Span.Penalty ~proc:target
+          Span.child t.sp ~kind:Span.Penalty ~proc:target
             ~t0:(send_done + c.C.net_latency) ~t1:ready_at ~a:penalty ~b:0;
-        Span.save ()
+        Span.save t.sp
       end
       else Span.no_ctx
     in
@@ -901,22 +915,22 @@ let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
                was in flight the event was re-homed and runs on the
                successor's clock *)
             let target = t.cur_proc in
-            let span_on = Span.is_on () in
+            let span_on = Span.on t.sp in
             let t_arr = Machine.now t.machine target in
             if span_on then begin
-              Span.restore sctx;
+              Span.restore t.sp sctx;
               if t_arr > ready_at then
-                Span.child ~kind:Span.Queue ~proc:target ~t0:ready_at
+                Span.child t.sp ~kind:Span.Queue ~proc:target ~t0:ready_at
                   ~t1:t_arr ~a:0 ~b:0
             end;
             check_crash t ~proc:target ~thread;
             let t_rc = Machine.now t.machine target in
             if span_on && t_rc > t_arr then
-              Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr ~t1:t_rc
+              Span.child t.sp ~kind:Span.Replay ~proc:target ~t0:t_arr ~t1:t_rc
                 ~a:0 ~b:0;
             Machine.advance t.machine target c.C.return_recv;
-            if Trace.is_on () then
-              Trace.emit
+            if Trace.on t.tr then
+              Trace.emit t.tr
                 { Trace.time = Machine.now t.machine target; proc = target;
                   tid = thread.tid; site = -1;
                   kind = Trace.Return_arrive { source } };
@@ -926,9 +940,9 @@ let return_arm t (k : (unit, unit) Effect.Deep.continuation) =
             thread.seat <- origin;
             if span_on then begin
               let t_done = Machine.now t.machine target in
-              Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_done
+              Span.child t.sp ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_done
                 ~a:0 ~b:0;
-              Span.close_root ~t1:t_done ~a:target ~b:0
+              Span.close_root t.sp ~t1:t_done ~a:target ~b:0
             end;
             Effect.Deep.continue k ());
       }
@@ -943,8 +957,8 @@ let phase_arm t name (k : (unit, unit) Effect.Deep.continuation) =
   (* the one place a task moves other processors' clocks *)
   rekey_all t;
   t.phases <- { pname = name; at = m; snapshot = Stats.copy (stats t) } :: t.phases;
-  if Trace.is_on () then
-    Trace.emit
+  if Trace.on t.tr then
+    Trace.emit t.tr
       { Trace.time = m; proc = t.cur_proc; tid = t.cur_thread.tid; site = -1;
         kind = Trace.Phase_mark name };
   Effect.Deep.continue k ()
@@ -1062,11 +1076,11 @@ let fail_stop t fo ~victim =
 (* Start running [thread] on [proc] (already set as [t.cur_proc]). *)
 let enter_task t thread =
   t.cur_thread <- thread;
-  if Trace.is_on () then Trace.set_thread thread.tid;
+  if Trace.on t.tr then Trace.set_thread t.tr thread.tid;
   (* a task must not inherit the ambient span context of whatever ran
      last: cross-task context travels only inside scheduled closures
      (via [Span.save]/[restore]), which re-install it themselves *)
-  if Span.is_on () then Span.clear ()
+  if Span.on t.sp then Span.clear t.sp
 
 (* --- Scheduler audit (tests) ----------------------------------------
 
@@ -1144,7 +1158,7 @@ let step t =
     | _ ->
     (* [best_start] is the global virtual time: it never decreases across
        steps, so it drives the monitor's interval windows *)
-    Monitor.tick best_start;
+    Monitor.tick t.mon best_start;
     Machine.wait_until t.machine proc best_start;
     t.cur_proc <- proc;
     if Candidate_heap.prio t.cands proc = 0 then begin
@@ -1157,8 +1171,8 @@ let step t =
       let s = stats t in
       s.Stats.steals <- s.Stats.steals + 1;
       Machine.advance t.machine proc (costs t).C.steal;
-      if Trace.is_on () then
-        Trace.emit
+      if Trace.on t.tr then
+        Trace.emit t.tr
           { Trace.time = Machine.now t.machine proc; proc; tid = thread.tid;
             site = -1; kind = Trace.Steal };
       enter_task t thread;
@@ -1187,7 +1201,7 @@ let flight_state t =
         busy.(p) comm.(p)
         (Event_queue.length t.events.(p))
         (Work_list.length t.worklists.(p))
-        (Span.last_span_on p))
+        (Span.last_span_on t.sp p))
 
 (* The drained-but-blocked diagnostic: which sites the stuck threads
    parked at, and how many pending continuations each processor holds —
@@ -1235,12 +1249,12 @@ let deadlock_message t =
   let parked_procs =
     List.sort_uniq compare (List.map (fun (p, _) -> p) parked)
   in
-  if Span.is_on () && parked_procs <> [] then begin
+  if Span.on t.sp && parked_procs <> [] then begin
     Buffer.add_string buf "; last span per parked proc: ";
     Buffer.add_string buf
       (String.concat " "
          (List.map
-            (fun p -> Printf.sprintf "p%d=#%d" p (Span.last_span_on p))
+            (fun p -> Printf.sprintf "p%d=#%d" p (Span.last_span_on t.sp p))
             parked_procs))
   end;
   (match Span.flight_dump ~reason:"deadlock" ~state:(flight_state t) with
@@ -1248,15 +1262,30 @@ let deadlock_message t =
   | None -> ());
   Buffer.contents buf
 
+(* Bind the executing domain's trace emitter, span state and monitor slot
+   into the engine, its machine and its cache system: after this the
+   hooks of the run read fields, never a domain-local key.  [exec] binds,
+   not [create]: a sweep pool may create an engine on one domain and run
+   it on another, and the run's events belong to the domain that runs
+   it. *)
+let bind t =
+  let tr = Trace.emitter () and sp = Span.state () in
+  t.tr <- tr;
+  t.sp <- sp;
+  t.mon <- Monitor.slot ();
+  Machine.bind t.machine sp;
+  Cache.bind t.cache tr
+
 (* Run [program] to completion as the initial thread on processor 0. *)
 let exec t program =
+  bind t;
   (* clear the ambient emitter context so events fired before the first
      dereference don't inherit a stale thread/site from a previous run;
      span ids and per-proc sequences restart so same-seed runs export
      byte-identical spans *)
-  Trace.set_thread (-1);
-  Trace.set_site (-1);
-  Span.reset ();
+  Trace.set_thread t.tr (-1);
+  Trace.set_site t.tr (-1);
+  Span.reset t.sp;
   let main_thread = new_thread t in
   schedule_event t ~proc:0 ~ready_at:0
     {

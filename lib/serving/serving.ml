@@ -442,8 +442,11 @@ let run ?(scale = 64) ~(cfg : C.t) ~(spec : C.Serving.spec) ~mix heap =
                 let admitted_at = base + a.a_offset in
                 Engine.inject engine ~proc:ingress ~ready_at:admitted_at
                   ~on_complete:(fun ~proc ~finish ->
-                    if Span.is_on () then
-                      Span.root ~kind:Span.Request ~proc ~t0:admitted_at
+                    (* one domain-local read per request: capturing a
+                       bound state would add a word to this closure *)
+                    let sp = Span.state () in
+                    if Span.on sp then
+                      Span.root sp ~kind:Span.Request ~proc ~t0:admitted_at
                         ~t1:finish ~a:(klass_code k) ~b:ingress)
                   (fun () -> acc := mix2 !acc (server.request k payload)))
               arr;

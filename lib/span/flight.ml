@@ -58,10 +58,11 @@ let recorded () = (recorder ()).head
 let set_path p = (recorder ()).path <- p
 let get_path () = (recorder ()).path
 
-(* Record one event.  Callers guard on {!is_enabled}; nothing here
+let enabled r = r.enabled
+
+(* Record one event into [r].  Callers guard on {!enabled}; nothing here
    allocates. *)
-let note ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
-  let r = recorder () in
+let note r ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
   let base = r.head mod r.cap * fields in
   let arr = r.buf in
   arr.(base) <- tp;

@@ -31,10 +31,19 @@ val set_path : string -> unit
 
 val get_path : unit -> string
 
+type recorder
+(** One domain's ring, enabled flag and dump path. *)
+
+val recorder : unit -> recorder
+(** This domain's recorder: one domain-local read.  The span layer holds
+    it in its own domain-local state, so recording reads no key. *)
+
+val enabled : recorder -> bool
+
 val note :
-  tp:int -> ts:int -> id:int -> parent:int -> kind:int -> proc:int ->
-  t0:int -> t1:int -> a:int -> b:int -> unit
-(** Record one event; caller guards on {!is_enabled}.  Allocation-free. *)
+  recorder -> tp:int -> ts:int -> id:int -> parent:int -> kind:int ->
+  proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
+(** Record one event; caller guards on {!enabled}.  Allocation-free. *)
 
 val events : unit -> int array array
 (** Retained events, oldest first, each a [fields]-slot array. *)

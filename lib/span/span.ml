@@ -21,8 +21,9 @@
      hops took as long as they did.
 
    Like {!Trace}, emission must cost nothing when off: every site is
-   guarded by [is_on ()], one boolean load.  The sink has three
-   consumers with different cost budgets: the collector (allocates one
+   guarded by [on s], one boolean load on the span state [s] the caller
+   holds (the engine binds its domain's state at [exec]).  The sink has
+   three consumers with different cost budgets: the collector (allocates one
    record per span, only for export/tests), the flight recorder
    ({!Flight}, a fixed int ring that is allocation-free and can stay on
    for whole chaos runs), and the monitor (its latency histograms and
@@ -150,8 +151,11 @@ let is_root = function Deref | Return | Request -> true | _ -> false
    the per-processor sequence/last-span arrays — lives in one record
    behind a domain-local key: engines running on different domains (the
    parallel sweep driver) keep fully independent span streams, and
-   [Span.reset] per run keeps each stream's ids deterministic.  Hot hooks
-   pay one [Domain.DLS.get] and field loads. *)
+   [Span.reset] per run keeps each stream's ids deterministic.  The key
+   is read once, where a layer binds the record ([state]); the hooks
+   take the bound record and pay field loads only.  The record also
+   holds its domain's flight recorder, so emission reads no key
+   either. *)
 
 let max_procs = 1024
 
@@ -174,6 +178,7 @@ type state = {
   mutable root_kind : int;
   root_seq : int array; (* next trace_seq per processor *)
   last_span : int array; (* last span id emitted per proc *)
+  flight : Flight.recorder; (* this domain's ring *)
 }
 
 let no_consumer ~tp:_ ~ts:_ ~kind:_ ~t0:_ ~t1:_ ~a:_ ~b:_ = ()
@@ -196,15 +201,16 @@ let key =
         root_kind = 0;
         root_seq = Array.make max_procs 0;
         last_span = Array.make max_procs (-1);
+        flight = Flight.recorder ();
       })
 
 let state () = Domain.DLS.get key
+let on g = g.on
+let is_on () = (state ()).on
 
 let refresh_on () =
   let g = state () in
-  g.on <- g.collector_on || g.monitor_on || Flight.is_enabled ()
-
-let is_on () = (state ()).on
+  g.on <- g.collector_on || g.monitor_on || Flight.enabled g.flight
 
 let install sink =
   let g = state () in
@@ -264,8 +270,7 @@ let no_ctx =
     s_rkind = 0;
   }
 
-let save () =
-  let g = state () in
+let save g =
   {
     s_tp = g.ctx_tp;
     s_ts = g.ctx_ts;
@@ -276,8 +281,7 @@ let save () =
     s_rkind = g.root_kind;
   }
 
-let restore s =
-  let g = state () in
+let restore g s =
   g.ctx_tp <- s.s_tp;
   g.ctx_ts <- s.s_ts;
   g.ctx_parent <- s.s_parent;
@@ -286,26 +290,23 @@ let restore s =
   g.root_proc <- s.s_rproc;
   g.root_kind <- s.s_rkind
 
-let clear () = restore no_ctx
+let clear g = restore g no_ctx
 
-let reset () =
-  let g = state () in
+let reset g =
   g.next_id <- 0;
-  clear ();
+  clear g;
   Array.fill g.root_seq 0 max_procs 0;
   Array.fill g.last_span 0 max_procs (-1)
 
-let trace_proc () = (state ()).ctx_tp
-let trace_seq () = (state ()).ctx_ts
-let parent () = (state ()).ctx_parent
-let root_open () = (state ()).root_id >= 0
+let trace_proc g = g.ctx_tp
+let trace_seq g = g.ctx_ts
+let parent g = g.ctx_parent
+let root_open g = g.root_id >= 0
 
-let deref_t0 () =
-  let g = state () in
+let deref_t0 g =
   if g.root_id >= 0 && g.root_kind = kind_code Deref then g.root_t0 else -1
 
-let last_span_on proc =
-  if proc < max_procs then (state ()).last_span.(proc) else -1
+let last_span_on g proc = if proc < max_procs then g.last_span.(proc) else -1
 
 (* --- Emission ----------------------------------------------------------- *)
 
@@ -313,40 +314,37 @@ let last_span_on proc =
    stores raw ints and the monitor takes them as arguments.  Guarding
    each consumer separately keeps the flight and monitor paths (chaos
    and serving runs) allocation-free. *)
-let emit_raw ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
+let emit_raw g ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
   if proc >= 0 && proc < max_procs then g.last_span.(proc) <- id;
-  if Flight.is_enabled () then
-    Flight.note ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0 ~t1 ~a ~b;
+  if Flight.enabled g.flight then
+    Flight.note g.flight ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0
+      ~t1 ~a ~b;
   if g.monitor_on then g.monitor ~tp ~ts ~kind ~t0 ~t1 ~a ~b;
   if g.collector_on then
     g.sink { trace_proc = tp; trace_seq = ts; id; parent; kind; proc; t0; t1; a; b }
 
-let fresh_id () =
-  let g = state () in
+let fresh_id g =
   let id = g.next_id in
   g.next_id <- id + 1;
   id
 
-let open_root ~kind ~proc ~t0 =
-  let g = state () in
+let open_root g ~kind ~proc ~t0 =
   let seq = g.root_seq.(proc) in
   g.root_seq.(proc) <- seq + 1;
   g.ctx_tp <- proc;
   g.ctx_ts <- seq;
-  let id = fresh_id () in
+  let id = fresh_id g in
   g.root_id <- id;
   g.ctx_parent <- id;
   g.root_t0 <- t0;
   g.root_proc <- proc;
   g.root_kind <- kind_code kind
 
-let close_root ~t1 ~a ~b =
-  let g = state () in
+let close_root g ~t1 ~a ~b =
   if g.root_id >= 0 then begin
-    emit_raw ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:g.root_id ~parent:(-1)
+    emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:g.root_id ~parent:(-1)
       ~kind:(kind_of_code g.root_kind) ~proc:g.root_proc ~t0:g.root_t0 ~t1 ~a ~b;
-    clear ()
+    clear g
   end
 
 (* A complete root episode in one shot (used for request roots, emitted
@@ -354,31 +352,29 @@ let close_root ~t1 ~a ~b =
    the ambient context, so the dereference roots the request's body
    opened and closed on its own clock are unaffected — the request root
    gets its own trace id and stands alone in the stream. *)
-let root ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
+let root g ~kind ~proc ~t0 ~t1 ~a ~b =
   let seq = g.root_seq.(proc) in
   g.root_seq.(proc) <- seq + 1;
-  emit_raw ~tp:proc ~ts:seq ~id:(fresh_id ()) ~parent:(-1) ~kind ~proc ~t0 ~t1
+  emit_raw g ~tp:proc ~ts:seq ~id:(fresh_id g) ~parent:(-1) ~kind ~proc ~t0 ~t1
     ~a ~b
 
-let child ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
-  emit_raw ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:(fresh_id ()) ~parent:g.ctx_parent
+let child g ~kind ~proc ~t0 ~t1 ~a ~b =
+  emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:(fresh_id g) ~parent:g.ctx_parent
     ~kind ~proc ~t0 ~t1 ~a ~b
 
 (* Nested envelope spans (RPC, crash): reserve the id up front so fault
    events emitted inside attach to it, emit the envelope on exit.
-   Usage:  let prev = parent () in let id = enter () in
-           ... ; exit_emit ~id ~prev ~kind ... *)
-let enter () =
-  let id = fresh_id () in
-  (state ()).ctx_parent <- id;
+   Usage:  let prev = parent g in let id = enter g in
+           ... ; exit_emit g ~id ~prev ~kind ... *)
+let enter g =
+  let id = fresh_id g in
+  g.ctx_parent <- id;
   id
 
-let exit_emit ~id ~prev ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
+let exit_emit g ~id ~prev ~kind ~proc ~t0 ~t1 ~a ~b =
   g.ctx_parent <- prev;
-  emit_raw ~tp:g.ctx_tp ~ts:g.ctx_ts ~id ~parent:prev ~kind ~proc ~t0 ~t1 ~a ~b
+  emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id ~parent:prev ~kind ~proc ~t0 ~t1 ~a
+    ~b
 
 (* --- Collector ----------------------------------------------------------- *)
 

@@ -3,7 +3,7 @@
     that is propagated into scheduled cross-processor work, so migration
     legs, return stubs, retransmits, recovery messages, and crash
     replays form one causal tree per episode.  Zero-cost when off: one
-    boolean load per hook. *)
+    boolean load per hook, on the {!state} the emitting layer holds. *)
 
 module Json = Olden_trace.Json
 
@@ -52,12 +52,27 @@ val is_root : kind -> bool
 
 (** {1 Sink} *)
 
-val is_on : unit -> bool
+type state
+(** One domain's span state: its consumers, the ambient context below,
+    and the per-processor sequences.  Every hook takes it as its first
+    argument. *)
+
+val state : unit -> state
+(** This domain's span state: one domain-local read.  The engine binds
+    it into itself and its machine when its [exec] starts, so the hooks
+    of a run read no domain-local key; the CLI and tests call this. *)
+
+val on : state -> bool
 (** True when the collector, the flight recorder or a monitor is active
-    — the one word read every instrumentation site is guarded by. *)
+    on the state — the one word read every instrumentation site is
+    guarded by. *)
+
+val is_on : unit -> bool
+(** [on (state ())], for callers that hold no state (the CLI, tests). *)
 
 val install : (span -> unit) -> unit
 val uninstall : unit -> unit
+(** Install or remove this domain's collector sink. *)
 
 (** {1 Monitor consumer} *)
 
@@ -93,7 +108,7 @@ val flight_dump : reason:string -> state:string list -> string option
 
     The emitting side keeps the episode in flight as mutable context:
     the trace id, the current parent span id, and the open root.  All
-    writes are guarded by {!is_on} at the call sites. *)
+    writes are guarded by {!on} at the call sites. *)
 
 type saved
 (** Snapshot of the ambient context, captured into scheduled-event
@@ -103,52 +118,56 @@ type saved
 val no_ctx : saved
 (** Preallocated empty snapshot (for closures built while off). *)
 
-val save : unit -> saved
-val restore : saved -> unit
-val clear : unit -> unit
+val save : state -> saved
+val restore : state -> saved -> unit
+val clear : state -> unit
 
-val reset : unit -> unit
+val reset : state -> unit
 (** Restart ids and per-processor sequences (once per [exec]), so
     same-seed runs export byte-identical spans. *)
 
-val root_open : unit -> bool
+val root_open : state -> bool
 
-val deref_t0 : unit -> int
+val deref_t0 : state -> int
 (** Entry time of the open root when it is a [Deref], else -1: the
     migration leg's start, and where a migrating dereference's hops
     begin. *)
 
-val open_root : kind:kind -> proc:int -> t0:int -> unit
-val close_root : t1:int -> a:int -> b:int -> unit
+val open_root : state -> kind:kind -> proc:int -> t0:int -> unit
+val close_root : state -> t1:int -> a:int -> b:int -> unit
 (** Emit the open root (parent -1) and clear the context; no-op when no
     root is open. *)
 
-val root : kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
+val root :
+  state -> kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int ->
+  unit
 (** Emit one complete root episode (parent -1) under a fresh trace id
     without touching the ambient context — used for request roots, which
     are recorded at completion so the dereference roots inside the
     request body keep their own episodes. *)
 
-val child : kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
+val child :
+  state -> kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int ->
+  unit
 (** Emit one span under the current context. *)
 
-val parent : unit -> int
-val enter : unit -> int
+val parent : state -> int
+val enter : state -> int
 (** Reserve a fresh span id and make it the current parent — children
     emitted until the matching {!exit_emit} nest under it. *)
 
 val exit_emit :
-  id:int -> prev:int -> kind:kind -> proc:int -> t0:int -> t1:int -> a:int ->
-  b:int -> unit
+  state -> id:int -> prev:int -> kind:kind -> proc:int -> t0:int -> t1:int ->
+  a:int -> b:int -> unit
 (** Emit the envelope span reserved by {!enter} and restore [prev] as
     the parent. *)
 
-val trace_proc : unit -> int
+val trace_proc : state -> int
 (** Trace id of the episode in flight (-1 when none). *)
 
-val trace_seq : unit -> int
+val trace_seq : state -> int
 
-val last_span_on : int -> int
+val last_span_on : state -> int -> int
 (** Last span id emitted on a processor (-1 if none) — surfaces in the
     deadlock report. *)
 

@@ -1,10 +1,11 @@
 (* Structured event tracing for the Olden runtime.
 
-   The engine, the cache system, and the coherence directories emit
-   events into a single process-wide sink.  Tracing must cost nothing
-   when it is off: every emission site is written
+   The engine and the cache system (for itself and its coherence
+   directories) emit events into one sink per domain.  Tracing must cost
+   nothing when it is off: each layer holds its domain's emitter (the
+   engine binds it at [exec]) and every emission site is written
 
-     if Trace.is_on () then Trace.emit { ... }
+     if Trace.on e then Trace.emit e { ... }
 
    so with no sink installed the only work done is one boolean load —
    no event record is ever allocated.  [emit] itself re-checks the sink
@@ -54,8 +55,9 @@ type event = {
 (* All emitter state — the installed sink and the ambient thread/site
    context — lives in one record behind a domain-local key, so engines
    running on different domains (the parallel sweep driver) trace
-   independently.  One [Domain.DLS.get] per hook keeps the off path at a
-   couple of loads. *)
+   independently.  The key is read once, where a layer binds the record
+   ([emitter]); every hook after that is a field load on the bound
+   record. *)
 type emitter = {
   mutable on : bool;
   mutable sink : event -> unit;
@@ -68,7 +70,7 @@ let emitter_key =
       { on = false; sink = (fun _ -> ()); cur_tid = -1; cur_site = -1 })
 
 let emitter () = Domain.DLS.get emitter_key
-
+let on e = e.on
 let is_on () = (emitter ()).on
 
 let install sink =
@@ -81,16 +83,14 @@ let uninstall () =
   e.on <- false;
   e.sink <- (fun _ -> ())
 
-let emit ev =
-  let e = emitter () in
-  if e.on then e.sink ev
+let emit e ev = if e.on then e.sink ev
 
 (* --- Emitter context --------------------------------------------------- *)
 
-let set_thread tid = (emitter ()).cur_tid <- tid
-let set_site site = (emitter ()).cur_site <- site
-let thread () = (emitter ()).cur_tid
-let site () = (emitter ()).cur_site
+let set_thread e tid = e.cur_tid <- tid
+let set_site e site = e.cur_site <- site
+let thread e = e.cur_tid
+let site e = e.cur_site
 
 (* --- Collector --------------------------------------------------------- *)
 

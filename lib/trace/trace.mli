@@ -1,10 +1,11 @@
 (** Structured event tracing for the Olden runtime.
 
-    A single process-wide sink receives every event the engine, cache
-    system, and coherence directories emit.  Tracing is zero-cost when
-    disabled: emission sites are written
+    One sink per domain receives every event the engine and the cache
+    system (for itself and its coherence directories) emit.  Both hold
+    their domain's {!emitter}, bound when the engine starts running, and
+    tracing is zero-cost when disabled: emission sites are written
 
-    {[ if Trace.is_on () then Trace.emit { ... } ]}
+    {[ if Trace.on e then Trace.emit e { ... } ]}
 
     so with no sink installed nothing is allocated — only one boolean is
     read.  Event streams are deterministic: the engine is a pure
@@ -50,14 +51,27 @@ type event = {
   kind : kind;
 }
 
+type emitter
+(** The calling domain's sink and thread/site context. *)
+
+val emitter : unit -> emitter
+(** This domain's emitter: one domain-local read.  The engine binds it
+    into itself and its cache system when its [exec] starts, so the
+    hooks below read no domain-local key. *)
+
+val on : emitter -> bool
+(** Whether a sink is installed on the emitter.  Emission sites must
+    guard on this so the disabled path allocates nothing. *)
+
 val is_on : unit -> bool
-(** Whether a sink is installed.  Emission sites must guard on this so
-    the disabled path allocates nothing. *)
+(** [on (emitter ())], for callers that hold no emitter (the CLI,
+    tests). *)
 
 val install : (event -> unit) -> unit
 val uninstall : unit -> unit
+(** Install or remove this domain's sink. *)
 
-val emit : event -> unit
+val emit : emitter -> event -> unit
 (** Deliver to the sink; a no-op when tracing is off. *)
 
 (** {2 Emitter context}
@@ -66,10 +80,10 @@ val emit : event -> unit
     know the current thread or dereference site; the engine deposits
     them here (guarded, so this too is free when tracing is off). *)
 
-val set_thread : int -> unit
-val set_site : int -> unit
-val thread : unit -> int
-val site : unit -> int
+val set_thread : emitter -> int -> unit
+val set_site : emitter -> int -> unit
+val thread : emitter -> int
+val site : emitter -> int
 
 (** {2 Collecting} *)
 

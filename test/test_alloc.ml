@@ -73,27 +73,29 @@ let test_monitor_hooks () =
           Monitor.uninstall ();
           if flight then Span.flight_disable ())
         (fun () ->
-          Span.reset ();
+          let sp = Span.state () in
+          Span.reset sp;
           let base = ref 0 in
           zero ("Deref roots, " ^ mode) (fun () ->
               for i = 1 to calls do
-                Span.open_root ~kind:Span.Deref ~proc:(i land 7) ~t0:0;
-                Span.close_root ~t1:(i land 1023) ~a:(i land 15) ~b:1;
-                Span.open_root ~kind:Span.Deref ~proc:(i land 7) ~t0:0;
-                Span.close_root ~t1:(!base + i) ~a:(i land 15) ~b:2
+                Span.open_root sp ~kind:Span.Deref ~proc:(i land 7) ~t0:0;
+                Span.close_root sp ~t1:(i land 1023) ~a:(i land 15) ~b:1;
+                Span.open_root sp ~kind:Span.Deref ~proc:(i land 7) ~t0:0;
+                Span.close_root sp ~t1:(!base + i) ~a:(i land 15) ~b:2
               done;
               base := !base + calls);
           zero ("Recv and Backoff under a root, " ^ mode) (fun () ->
-              Span.open_root ~kind:Span.Deref ~proc:0 ~t0:0;
+              Span.open_root sp ~kind:Span.Deref ~proc:0 ~t0:0;
               for i = 1 to calls do
-                Span.child ~kind:Span.Recv ~proc:1 ~t0:i ~t1:(i + 5) ~a:0 ~b:0;
-                Span.child ~kind:Span.Backoff ~proc:1 ~t0:i ~t1:(2 * i) ~a:1
+                Span.child sp ~kind:Span.Recv ~proc:1 ~t0:i ~t1:(i + 5) ~a:0
+                  ~b:0;
+                Span.child sp ~kind:Span.Backoff ~proc:1 ~t0:i ~t1:(2 * i) ~a:1
                   ~b:i
               done;
-              Span.clear ());
+              Span.clear sp);
           zero ("Request roots, " ^ mode) (fun () ->
               for i = 1 to calls do
-                Span.root ~kind:Span.Request ~proc:(i land 7) ~t0:0 ~t1:i
+                Span.root sp ~kind:Span.Request ~proc:(i land 7) ~t0:0 ~t1:i
                   ~a:(i mod 3) ~b:0
               done));
       (* each zero check runs its body twice: the warm-up and the count *)
@@ -194,7 +196,53 @@ let test_thread_delivery () =
       done);
   check bool "some transfers arrived late" true (!late > 0)
 
+(* A translation that misses the one-entry memo and finds its page
+   further in: the probe loop captures nothing, so the miss allocates no
+   closure. *)
+let test_probe_memo_miss () =
+  let tbl = Translation.create () in
+  let pages = Array.init 8 (fun i -> (1 lsl 16) lor i) in
+  Array.iter
+    (fun gpage ->
+      ignore
+        (Translation.insert tbl ~gpage ~home:1 ~page_index:(gpage land 0xffff)))
+    pages;
+  let found = ref 0 in
+  zero "Translation.probe missing the memo" (fun () ->
+      for i = 1 to calls do
+        (* consecutive probes name different pages: every one misses *)
+        if Translation.probe tbl pages.(i land 7) != Translation.no_entry then
+          incr found
+      done);
+  check Alcotest.int "every probe found its live entry" (2 * calls) !found
+
 (* --- Ceilings inside an engine ---------------------------------------- *)
+
+(* Remote cache hits through [Ops.load_int] at a cache site on processor
+   0, alternating between two pages homed on processor 1, so each read
+   also misses the translation memo. *)
+let test_remote_hit () =
+  let site = Site.cache "alloc.remote_hit" in
+  let words = ref nan in
+  let report =
+    Engine.run (C.make ~nprocs:2 ()) (fun () ->
+        let g = Ops.alloc ~proc:1 (2 * G.words_per_page) in
+        let field i = if i land 1 = 0 then 0 else G.words_per_page in
+        Ops.store_int site g (field 0) 3;
+        Ops.store_int site g (field 1) 4;
+        let sum = ref 0 in
+        words :=
+          minor_words (fun () ->
+              for i = 1 to calls do
+                sum := !sum + Ops.load_int site g (field i)
+              done);
+        check Alcotest.int "loads read the stored words" (7 * calls) !sum)
+  in
+  check (Alcotest.float 0.) "Ops.load_int, remote cache hit: no minor words"
+    0. !words;
+  let s = report.Engine.stats in
+  check Alcotest.int "two line fills" 2 s.Stats.cache_misses;
+  check Alcotest.int "every other read hit" ((2 * calls) - 2) s.Stats.cache_hits
 
 (* [Ops.call] around a load through a migrate site homed on processor 1:
    a migration there and a return stub back, per call; then plain loads
@@ -348,13 +396,14 @@ let exemplars_agree episodes =
   let m = quiet_monitor () in
   Monitor.install m;
   Fun.protect ~finally:Monitor.uninstall (fun () ->
-      Span.reset ();
+      let sp = Span.state () in
+      Span.reset sp;
       let reference = Scan_exemplars.create () in
       List.for_all
         (fun (proc, cycles) ->
-          Span.open_root ~kind:Span.Deref ~proc ~t0:0;
-          let tp = Span.trace_proc () and ts = Span.trace_seq () in
-          Span.close_root ~t1:cycles ~a:(-1) ~b:2 (* mech code: migrate *);
+          Span.open_root sp ~kind:Span.Deref ~proc ~t0:0;
+          let tp = Span.trace_proc sp and ts = Span.trace_seq sp in
+          Span.close_root sp ~t1:cycles ~a:(-1) ~b:2 (* mech code: migrate *);
           Scan_exemplars.note reference ~cycles ~tp ~ts;
           Monitor.held_exemplars m Monitor.Migrate
           = Scan_exemplars.held reference)
@@ -420,4 +469,8 @@ let suite =
       (test_kernel_words Olden_benchmarks.Tsp.spec ~scale:32 ~ceiling:3.2);
     Alcotest.test_case "Voronoi within 0.9 words per event" `Quick
       (test_kernel_words Olden_benchmarks.Voronoi.spec ~scale:64 ~ceiling:0.9);
+    Alcotest.test_case "translation probe missing the memo allocates nothing"
+      `Quick test_probe_memo_miss;
+    Alcotest.test_case "remote cache hit through Ops.load_int allocates nothing"
+      `Quick test_remote_hit;
   ]

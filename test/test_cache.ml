@@ -261,9 +261,9 @@ let test_write_log_absorb () =
 
 let test_directory_sharers () =
   let d = Directory.create () in
-  Directory.add_sharer d ~page_index:3 ~proc:5;
-  Directory.add_sharer d ~page_index:3 ~proc:6;
-  Directory.add_sharer d ~page_index:3 ~proc:5;
+  Directory.add_sharer ~at:0 d ~page_index:3 ~proc:5;
+  Directory.add_sharer ~at:0 d ~page_index:3 ~proc:6;
+  Directory.add_sharer ~at:0 d ~page_index:3 ~proc:5;
   check int "distinct sharers" 2 (List.length (Directory.sharers d 3));
   check bool "shared" true (Directory.is_shared d 3);
   check bool "other page not shared" false (Directory.is_shared d 4);

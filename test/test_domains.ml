@@ -188,6 +188,114 @@ let test_voronoi_reference_two_domains () =
     (fun i r -> check bool (Printf.sprintf "run %d = sequential" i) true (r = expected))
     (here @ there)
 
+(* --- A run emits into the domain that executes it ----------------------- *)
+
+type bind_sites = {
+  b_value : Site.t;
+  b_left : Site.t;
+  b_right : Site.t;
+  b_cache : Site.t;
+}
+
+(* A tree spread over the processors, built through a cache site, summed
+   through migrate sites with a future per left subtree and a return stub
+   per call, then summed again through the cache site: migrations,
+   returns, futures, steals, line fills and hits in one small run. *)
+let bind_program sites ~nprocs () =
+  let rec build depth idx =
+    if depth = 0 then Gptr.null
+    else begin
+      let n = Ops.alloc ~proc:(idx mod nprocs) 3 in
+      Ops.store_int sites.b_cache n 0 idx;
+      Ops.store_ptr sites.b_cache n 1 (build (depth - 1) (2 * idx));
+      Ops.store_ptr sites.b_cache n 2 (build (depth - 1) ((2 * idx) + 1));
+      n
+    end
+  in
+  let rec migrate_sum t =
+    if Gptr.is_null t then 0
+    else begin
+      let l = Ops.load_ptr sites.b_left t 1 in
+      let f =
+        Ops.future (fun () -> Value.Int (Ops.call (fun () -> migrate_sum l)))
+      in
+      let r = Ops.load_ptr sites.b_right t 2 in
+      let s = Ops.call (fun () -> migrate_sum r) in
+      let v = Ops.load_int sites.b_value t 0 in
+      Value.to_int (Ops.touch f) + s + v
+    end
+  in
+  let rec cache_sum t =
+    if Gptr.is_null t then 0
+    else begin
+      let v = Ops.load_int sites.b_cache t 0 in
+      let l = cache_sum (Ops.load_ptr sites.b_cache t 1) in
+      v + l + cache_sum (Ops.load_ptr sites.b_cache t 2)
+    end
+  in
+  let root = build 6 1 in
+  let m = migrate_sum root in
+  (m, cache_sum root)
+
+(* Run the program on [engine] and report its result and final heap. *)
+let bind_exec sites ~nprocs engine =
+  let result = ref (0, 0) in
+  Engine.exec engine (fun () -> result := bind_program sites ~nprocs ());
+  (!result, Memory.digest (Engine.memory engine))
+
+let test_binding_follows_exec () =
+  let nprocs = 4 in
+  let cfg = Config.make ~nprocs () in
+  let sites =
+    {
+      b_value = Site.migrate "bind.value";
+      b_left = Site.migrate "bind.left";
+      b_right = Site.migrate "bind.right";
+      b_cache = Site.cache "bind.cache";
+    }
+  in
+  let inline, inline_spans =
+    Span.collect (fun () -> bind_exec sites ~nprocs (Engine.create cfg))
+  in
+  let _, inline_events =
+    Trace.collect (fun () -> bind_exec sites ~nprocs (Engine.create cfg))
+  in
+  check bool "the inline run emits spans" true (Array.length inline_spans > 0);
+  check bool "the inline run emits trace events" true
+    (Array.length inline_events > 0);
+  let same_run name (result, digest) =
+    let (m, c), heap = inline in
+    check (Alcotest.pair int int) (name ^ ": program result") (m, c) result;
+    check string (name ^ ": heap digest") heap digest
+  in
+  (* created here, with this domain's sinks installed; run on a domain
+     that has none *)
+  let events = ref 0 and spans = ref 0 in
+  Trace.install (fun _ -> incr events);
+  Span.install (fun _ -> incr spans);
+  let engine = Engine.create cfg in
+  let across =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.uninstall ();
+        Span.uninstall ())
+      (fun () ->
+        Domain.join (Domain.spawn (fun () -> bind_exec sites ~nprocs engine)))
+  in
+  check int "the creating domain's trace sink receives nothing" 0 !events;
+  check int "the creating domain's span sink receives nothing" 0 !spans;
+  same_run "run on another domain" across;
+  (* created here, with no sinks; run on a domain that collects *)
+  let engine = Engine.create cfg in
+  let there, there_spans =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Span.collect (fun () -> bind_exec sites ~nprocs engine)))
+  in
+  same_run "run on a collecting domain" there;
+  check string "the executing domain's span stream = the inline one"
+    (Span.jsonl inline_spans) (Span.jsonl there_spans)
+
 (* --- Event_queue.take releases the vacated slot -------------------------- *)
 
 let test_take_releases_payload () =
@@ -225,4 +333,6 @@ let suite =
       test_take_releases_payload;
     Alcotest.test_case "Voronoi reference on two domains at once" `Quick
       test_voronoi_reference_two_domains;
+    Alcotest.test_case "an engine emits into the domain that runs it" `Quick
+      test_binding_follows_exec;
   ]

@@ -115,6 +115,34 @@ let test_memory_bounds () =
           (Gptr.to_string a)))
     (fun () -> ignore (Memory.load m a 2))
 
+(* [load] and [store] test null once and decode the pointer unchecked:
+   a null pointer still raises [Gptr.proc]'s error, and every out-of-range
+   pointer its own, on both calls. *)
+let test_memory_null_and_range () =
+  let m = Memory.create ~nprocs:2 in
+  let a = Memory.alloc m ~proc:0 2 in
+  let both name exn ptr field =
+    Alcotest.check_raises ("load " ^ name) exn (fun () ->
+        ignore (Memory.load m ptr field));
+    Alcotest.check_raises ("store " ^ name) exn (fun () ->
+        Memory.store m ptr field (Value.Int 1))
+  in
+  both "null" (Invalid_argument "Gptr.proc: null pointer") Gptr.null 0;
+  both "null, nonzero field" (Invalid_argument "Gptr.proc: null pointer")
+    Gptr.null 1;
+  let range p field =
+    Invalid_argument
+      (Printf.sprintf "Memory: %s+%d: address out of allocated range"
+         (Gptr.to_string p) field)
+  in
+  both "past the bump pointer" (range a 2) a 2;
+  both "below the section" (range a (-1)) a (-1);
+  let stray = Gptr.make ~proc:3 ~addr:0 in
+  both "on a missing processor"
+    (Invalid_argument
+       (Printf.sprintf "Memory: %s: no processor" (Gptr.to_string stray)))
+    stray 0
+
 let test_memory_growth () =
   let m = Memory.create ~nprocs:1 in
   (* grow through several storage chunks: 3-word objects straddle chunk
@@ -202,4 +230,6 @@ let suite =
     Alcotest.test_case "geometry" `Quick test_geometry;
     QCheck_alcotest.to_alcotest prop_geometry_consistent;
     Alcotest.test_case "gptr of_int" `Quick test_gptr_of_int;
+    Alcotest.test_case "memory null and out of range, load and store" `Quick
+      test_memory_null_and_range;
   ]

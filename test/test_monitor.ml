@@ -277,7 +277,7 @@ let test_jsonl_shape () =
 let test_off_by_default () =
   check bool "no monitor installed" false (Monitor.is_on ());
   (* the tick is a no-op rather than an error when nothing is installed *)
-  Monitor.tick 1_000;
+  Monitor.tick (Monitor.slot ()) 1_000;
   check bool "spans off" false (Span.is_on ());
   (* installing a monitor attaches it to the span stream *)
   let m =

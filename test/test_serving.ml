@@ -277,11 +277,12 @@ let test_csv_quoting () =
   let m = Monitor.create ~interval:1_000 ~nprocs:8 ~probe in
   Monitor.install m;
   Fun.protect ~finally:Monitor.uninstall (fun () ->
-      Span.reset ();
-      Span.open_root ~kind:Span.Deref ~proc:0 ~t0:0;
-      Span.close_root ~t1:100 ~a:0 ~b:1 (* site 0, cache *);
-      Span.root ~kind:Span.Request ~proc:0 ~t0:0 ~t1:300 ~a:0 ~b:0;
-      Span.root ~kind:Span.Request ~proc:1 ~t0:0 ~t1:200 ~a:2 ~b:1;
+      let sp = Span.state () in
+      Span.reset sp;
+      Span.open_root sp ~kind:Span.Deref ~proc:0 ~t0:0;
+      Span.close_root sp ~t1:100 ~a:0 ~b:1 (* site 0, cache *);
+      Span.root sp ~kind:Span.Request ~proc:0 ~t0:0 ~t1:300 ~a:0 ~b:0;
+      Span.root sp ~kind:Span.Request ~proc:1 ~t0:0 ~t1:200 ~a:2 ~b:1;
       Monitor.finish m ~makespan:1_000);
   let site_names = [ (0, "point,\"weird\"") ] in
   let csv = Monitor.latency_csv ~site_names m in

@@ -453,9 +453,10 @@ let test_flight_dump_on_deadlock () =
 let test_off_by_default () =
   check bool "no span sink installed" false (Span.is_on ());
   (* the hooks are no-ops rather than errors when nothing is installed *)
-  Span.child ~kind:Span.Drop ~proc:0 ~t0:0 ~t1:0 ~a:0 ~b:0;
-  Span.clear ();
-  check int "no ambient trace" (-1) (Span.trace_proc ())
+  let sp = Span.state () in
+  Span.child sp ~kind:Span.Drop ~proc:0 ~t0:0 ~t1:0 ~a:0 ~b:0;
+  Span.clear sp;
+  check int "no ambient trace" (-1) (Span.trace_proc sp)
 
 let test_span_neutral () =
   (* collecting spans must not perturb the simulation: identical result,

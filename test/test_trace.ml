@@ -167,11 +167,12 @@ let test_metrics_delta () =
 
 let test_disabled_no_alloc () =
   assert (not (Trace.is_on ()));
+  let e = Trace.emitter () in
   let probe () =
     (* the pattern every emission site uses *)
     for i = 1 to 10_000 do
-      if Trace.is_on () then
-        Trace.emit
+      if Trace.on e then
+        Trace.emit e
           { Trace.time = i; proc = 0; tid = 0; site = 0; kind = Trace.Steal }
     done
   in
