@@ -553,9 +553,9 @@ let run cfg ~scale =
       let ok = ref true in
       Array.iteri
         (fun i b ->
-          let x = Value.to_float (Memory.load memory b b_x) in
-          let y = Value.to_float (Memory.load memory b b_y) in
-          let z = Value.to_float (Memory.load memory b b_z) in
+          let x = Memory.load_float memory b b_x in
+          let y = Memory.load_float memory b b_y in
+          let z = Memory.load_float memory b b_z in
           let e = expected.(i) in
           if
             not

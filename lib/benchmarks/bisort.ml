@@ -442,9 +442,9 @@ let run cfg ~scale =
       let rec inorder node acc =
         if Gptr.is_null node then acc
         else
-          let l = Value.to_ptr (Memory.load memory node off_left) in
-          let r = Value.to_ptr (Memory.load memory node off_right) in
-          let v = Value.to_int (Memory.load memory node off_value) in
+          let l = Memory.load_ptr memory node off_left in
+          let r = Memory.load_ptr memory node off_right in
+          let v = Memory.load_int memory node off_value in
           inorder l (v :: inorder r acc)
       in
       let got = inorder root [ spr2 ] in

@@ -262,12 +262,12 @@ let run_graph ?local_fraction cfg ~scale =
       let ok = ref true in
       Array.iteri
         (fun i node ->
-          let got = Value.to_float (Memory.load memory node off_value) in
+          let got = Memory.load_float memory node off_value in
           if not (Float.equal got ev.(i)) then ok := false)
         built.e_nodes;
       Array.iteri
         (fun i node ->
-          let got = Value.to_float (Memory.load memory node off_value) in
+          let got = Memory.load_float memory node off_value in
           if not (Float.equal got hv.(i)) then ok := false)
         built.h_nodes;
       let checksum =

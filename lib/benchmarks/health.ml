@@ -382,8 +382,8 @@ let run cfg ~scale =
       let treated, waitsum =
         List.fold_left
           (fun (t, w) v ->
-            ( t + Value.to_int (Memory.load memory v v_treated),
-              w + Value.to_int (Memory.load memory v v_waitsum) ))
+            ( t + Memory.load_int memory v v_treated,
+              w + Memory.load_int memory v v_waitsum ))
           (0, 0) villages
       in
       ( Printf.sprintf "treated=%d waitsum=%d (villages=%d)" treated waitsum

@@ -394,10 +394,10 @@ let run cfg ~scale =
       let memory = Engine.memory engine in
       let total = ref 0. and count = ref 0 and p = ref start in
       let continue_ = ref true in
-      let coord c off = Value.to_float (Memory.load memory c off) in
+      let coord c off = Memory.load_float memory c off in
       while !continue_ do
-        let next = Value.to_ptr (Memory.load memory !p off_next) in
-        let prev_of_next = Value.to_ptr (Memory.load memory next off_prev) in
+        let next = Memory.load_ptr memory !p off_next in
+        let prev_of_next = Memory.load_ptr memory next off_prev in
         if not (Gptr.equal prev_of_next !p) then begin
           count := -1;
           continue_ := false

@@ -719,9 +719,9 @@ let run cfg ~scale =
       let pairs = Array.make st.nrecords 0 and npairs = ref 0 in
       for k = 0 to st.nrecords - 1 do
         let r = st.records.(k) in
-        if Value.to_int (Memory.load memory r off_alive) = 1 then begin
-          let o = Value.to_ptr (Memory.load memory r (part_data 0)) in
-          let d = Value.to_ptr (Memory.load memory r (part_data 2)) in
+        if Memory.load_int memory r off_alive = 1 then begin
+          let o = Memory.load_ptr memory r (part_data 0) in
+          let d = Memory.load_ptr memory r (part_data 2) in
           pairs.(!npairs) <-
             pair_key ~n
               (Hashtbl.find st.point_index o)

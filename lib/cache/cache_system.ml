@@ -67,14 +67,15 @@ let record_write t ~home ~page_index ~line =
 (* Locate (or allocate, on first touch) the cache entry on [proc] for the
    page containing word [addr] of processor [home]. *)
 let entry_for t ~proc ~home ~addr =
-  let gpage = (home lsl 16) lor G.page_of_word addr in
+  let page_index = G.page_of_word addr in
+  let gpage = Gptr.page_id ~home ~page_index in
   let tbl = t.tables.(proc) in
   let e = Translation.probe tbl gpage in
   if e != Translation.no_entry then e
   else begin
     let s = stats t in
     s.Stats.pages_cached <- s.Stats.pages_cached + 1;
-    Translation.insert tbl ~gpage ~home ~page_index:(G.page_of_word addr)
+    Translation.insert tbl ~gpage ~home ~page_index
   end
 
 (* Bilateral: a suspect page must be revalidated against its home before
@@ -129,8 +130,10 @@ let fetch_line t ~proc (e : Translation.entry) ~line =
 
 (* A read through the caching mechanism on [proc].  The compiler-inserted
    check tests locality first (as cheap as a migration site's test); only
-   remote addresses pay the hash-table probe. *)
-let read t ~proc gptr ~field =
+   remote addresses pay the hash-table probe.  The word is read as [kind]
+   from the home section or the cached frame, so a typed read allocates
+   nothing. *)
+let read_as kind t ~proc gptr ~field =
   let c = costs t in
   Machine.advance t.machine proc c.C.pointer_test;
   let s = stats t in
@@ -138,7 +141,7 @@ let read t ~proc gptr ~field =
   let home = Gptr.proc gptr and addr = Gptr.addr gptr + field in
   if home = proc then begin
     Machine.advance t.machine proc c.C.local_ref;
-    Memory.load t.memory gptr field
+    Memory.load_as kind t.memory gptr field
   end
   else begin
     Machine.advance t.machine proc c.C.cache_probe;
@@ -154,8 +157,10 @@ let read t ~proc gptr ~field =
     end
     else fetch_line t ~proc e ~line;
     Machine.advance t.machine proc c.C.local_ref;
-    e.data.(G.word_offset_in_page addr)
+    Word.get kind e.data (G.word_offset_in_page addr)
   end
+
+let read t ~proc gptr ~field = read_as Word.Value t ~proc gptr ~field
 
 (* Primary–backup mirroring: when replication is configured, every store
    applied at a home page is also sent to the page's current backup as a
@@ -209,7 +214,7 @@ let log_write t log ~gpage ~line ~home =
 (* A write through the caching mechanism: write-through to the home,
    updating the local copy if the line is cached.  The write is logged in
    the thread's write log for later release processing. *)
-let write t ~proc gptr ~field v ~(log : Write_log.t) =
+let write_as kind t ~proc gptr ~field v ~(log : Write_log.t) =
   let c = costs t in
   Machine.advance t.machine proc c.C.pointer_test;
   let s = stats t in
@@ -217,8 +222,8 @@ let write t ~proc gptr ~field v ~(log : Write_log.t) =
   let home = Gptr.proc gptr and addr = Gptr.addr gptr + field in
   let page_index = G.page_of_word addr and line = G.line_of_word addr in
   charge_write_tracking t ~proc ~home ~page_index;
-  Memory.store t.memory gptr field v;
-  let gpage = (home lsl 16) lor page_index in
+  Memory.store_as kind t.memory gptr field v;
+  let gpage = Gptr.page_id ~home ~page_index in
   log_write t log ~gpage ~line ~home;
   (match coherence t with
   | C.Bilateral -> record_write t ~home ~page_index ~line
@@ -236,19 +241,22 @@ let write t ~proc gptr ~field v ~(log : Write_log.t) =
     Machine.count_bytes t.machine (G.word_bytes + 8);
     mirror_store t ~proc ~home;
     (* keep our own cached copy coherent with our write *)
-    let e = Translation.probe t.tables.(proc) ((home lsl 16) lor page_index) in
+    let e = Translation.probe t.tables.(proc) gpage in
     if e != Translation.no_entry && Translation.line_valid e line then
-      e.data.(G.word_offset_in_page addr) <- v
+      Word.set kind e.data (G.word_offset_in_page addr) v
   end
+
+let write t ~proc gptr ~field v ~log =
+  write_as Word.Value t ~proc gptr ~field v ~log
 
 (* Also used by migration-mechanism writes: coherence must still know about
    them (they are heap writes visible at a release), but they are not
    counted as cacheable. *)
-let note_migrate_write t ~proc gptr ~field v ~(log : Write_log.t) =
+let note_migrate_write kind t ~proc gptr ~field v ~(log : Write_log.t) =
   let home = Gptr.proc gptr and addr = Gptr.addr gptr + field in
   let page_index = G.page_of_word addr and line = G.line_of_word addr in
   charge_write_tracking t ~proc ~home ~page_index;
-  let gpage = (home lsl 16) lor page_index in
+  let gpage = Gptr.page_id ~home ~page_index in
   log_write t log ~gpage ~line ~home;
   mirror_store t ~proc ~home;
   (* after a failover the writer can be the promoted successor, serving
@@ -261,7 +269,7 @@ let note_migrate_write t ~proc gptr ~field v ~(log : Write_log.t) =
   if home <> proc then begin
     let e = Translation.probe t.tables.(proc) gpage in
     if e != Translation.no_entry && Translation.line_valid e line then
-      e.data.(G.word_offset_in_page addr) <- v
+      Word.set kind e.data (G.word_offset_in_page addr) v
   end;
   match coherence t with
   | C.Bilateral -> record_write t ~home ~page_index ~line
@@ -295,7 +303,7 @@ let rec invalidate_sharers t ~proc ~gpage ~mask sharer rest =
   if rest <> 0 then begin
     (if rest land 1 <> 0 && sharer <> proc then begin
        let s = stats t in
-       let page_index = gpage land 0xffff in
+       let page_index = Gptr.page_index gpage in
        ignore
          (Machine.one_way t.machine ~src:proc ~dst:sharer
             ~service:(costs t).C.invalidate_line);
@@ -327,7 +335,8 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
            no List.mem on the hot path) *)
         for i = 0 to Write_log.dirty_count log - 1 do
           let gpage = Write_log.dirty_page log i in
-          let home = gpage lsr 16 and page_index = gpage land 0xffff in
+          let home = Gptr.page_home gpage
+          and page_index = Gptr.page_index gpage in
           invalidate_sharers t ~proc ~gpage
             ~mask:(Write_log.dirty_mask log i)
             0
@@ -341,7 +350,8 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
         let s = stats t in
         for i = 0 to Write_log.dirty_count log - 1 do
           let gpage = Write_log.dirty_page log i in
-          let home = gpage lsr 16 and page_index = gpage land 0xffff in
+          let home = Gptr.page_home gpage
+          and page_index = Gptr.page_index gpage in
           if home <> proc then begin
             ignore
               (Machine.one_way t.machine ~src:proc ~dst:home

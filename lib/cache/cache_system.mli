@@ -25,19 +25,27 @@ val directory : t -> int -> Directory.t
 (** A home processor's page directory (exposed for the invariant checker
     and tools). *)
 
-val read : t -> proc:int -> Gptr.t -> field:int -> Value.t
+val read_as : 'a Word.kind -> t -> proc:int -> Gptr.t -> field:int -> 'a
 (** A read through the caching mechanism: locality test, then either a
     direct local load or a cache lookup with a line fetch on a miss.
-    Charges all costs to the machine. *)
+    Charges all costs to the machine.  The word is read as [kind]
+    ({!Word.get}) from the home section or the cached page frame. *)
 
-val write : t -> proc:int -> Gptr.t -> field:int -> Value.t ->
+val read : t -> proc:int -> Gptr.t -> field:int -> Value.t
+(** {!read_as} at the edge type. *)
+
+val write_as : 'a Word.kind -> t -> proc:int -> Gptr.t -> field:int -> 'a ->
   log:Write_log.t -> unit
 (** A write through the caching mechanism: write-through to the home
     (updating the writer's own cached copy if present), write-tracking
     costs under the global/bilateral schemes, and write-log recording. *)
 
-val note_migrate_write : t -> proc:int -> Gptr.t -> field:int ->
-  Value.t -> log:Write_log.t -> unit
+val write : t -> proc:int -> Gptr.t -> field:int -> Value.t ->
+  log:Write_log.t -> unit
+(** {!write_as} at the edge type. *)
+
+val note_migrate_write : 'a Word.kind -> t -> proc:int -> Gptr.t ->
+  field:int -> 'a -> log:Write_log.t -> unit
 (** Record a heap write made through a migration site: it is not counted
     as cacheable traffic, but coherence must still see it at the next
     release.  Takes the stored value so a promoted successor's own

@@ -31,7 +31,8 @@ type entry = {
   home : int; (* owning processor *)
   page_index : int; (* page number within the home's section *)
   mutable valid : int; (* bitmask over the 32 lines *)
-  data : Value.t array; (* local copy, words_per_page words *)
+  data : Word.block; (* local copy, words_per_page words, laid out as a
+                         heap chunk so a line fill is two blits *)
   mutable ts : int; (* bilateral: home timestamp at last validation *)
   mutable egen : int; (* internal: flush generation this entry belongs to *)
   mutable vepoch : int; (* internal: suspicion epoch at last validation *)
@@ -45,7 +46,7 @@ let no_entry =
     home = -1;
     page_index = -1;
     valid = 0;
-    data = [||];
+    data = Word.block 0;
     ts = 0;
     egen = -1;
     vepoch = 0;
@@ -76,11 +77,12 @@ let create () =
     memo = no_entry;
   }
 
-(* Global page ids are [home lsl 16 lor page_index]: several processors'
-   dense page ranges, which any mask-the-low-bits hash would pile into one
-   small slot window (fatal for linear probing — primary clustering).  A
-   multiplicative mix (Knuth's golden-ratio constant, sized to OCaml's
-   63-bit int) spreads them across the whole table first. *)
+(* Global page ids are [Gptr.page_id]s, the home above bit 16 and the
+   page index below: several processors' dense page ranges, which any
+   mask-the-low-bits hash would pile into one small slot window (fatal
+   for linear probing — primary clustering).  A multiplicative mix
+   (Knuth's golden-ratio constant, sized to OCaml's 63-bit int) spreads
+   them across the whole table first. *)
 let home_slot t gpage =
   let h = gpage * 0x3C79AC492BA7B653 in
   (h lsr 24) land t.mask
@@ -143,7 +145,7 @@ let insert t ~gpage ~home ~page_index =
       home;
       page_index;
       valid = 0;
-      data = Array.make G.words_per_page Value.Nil;
+      data = Word.block G.words_per_page;
       ts = 0;
       egen = t.gen;
       vepoch = t.sepoch;

@@ -18,7 +18,7 @@ type entry = {
   home : int;  (** owning processor *)
   page_index : int;  (** page number within the home's section *)
   mutable valid : int;  (** bitmask over the 32 lines *)
-  data : Value.t array;  (** local copy, words_per_page words *)
+  data : Word.block;  (** local copy, words_per_page words *)
   mutable ts : int;  (** bilateral: home timestamp at last validation *)
   mutable egen : int;  (** internal: flush generation (see {!flush}) *)
   mutable vepoch : int;  (** internal: suspicion epoch at last validation *)

@@ -243,11 +243,11 @@ let check_tables engine =
             violation "tables" "p%d caches page %d of its own section" proc
               e.Translation.page_index
             :: !bad;
-        if Array.length e.Translation.data <> G.words_per_page then
+        if Word.length e.Translation.data <> G.words_per_page then
           bad :=
             violation "tables" "p%d: page %d copy has %d words (want %d)"
               proc e.Translation.page_index
-              (Array.length e.Translation.data)
+              (Word.length e.Translation.data)
               G.words_per_page
             :: !bad)
   done;

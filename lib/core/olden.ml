@@ -18,6 +18,7 @@ module Config = Olden_config
 module Geometry = Olden_config.Geometry
 module Gptr = Gptr
 module Value = Value
+module Word = Word
 module Memory = Memory
 module Machine = Machine
 module Stats = Stats

@@ -56,6 +56,17 @@ let to_string p =
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 
-(* Identifier of the global page containing [p] (used by the cache). *)
+(* Global page ids, the software cache's tags: the home processor above
+   bit 16, the page's index within the home's section below (a section
+   holds [max_addr / words_per_page] < 2^16 pages). *)
+let page_bits = 16
+let () =
+  assert (Olden_config.Geometry.page_of_word max_addr < 1 lsl page_bits)
+
+let page_id ~home ~page_index = (home lsl page_bits) lor page_index
+let page_home gpage = gpage lsr page_bits
+let page_index gpage = gpage land ((1 lsl page_bits) - 1)
+
 let global_page (p : t) =
-  (proc p lsl (addr_bits - 9)) lor Olden_config.Geometry.page_of_word (addr p)
+  page_id ~home:(proc p)
+    ~page_index:(Olden_config.Geometry.page_of_word (addr p))

@@ -54,7 +54,17 @@ val hash : t -> int
 
 val global_page : t -> int
 (** Identifier of the 2 KB global page containing the pointer, unique
-    across processors (used by the software cache). *)
+    across processors: [page_id ~home:(proc p) ~page_index], the tag the
+    software cache files the page under.
+    @raise Invalid_argument on {!null}. *)
+
+val page_id : home:int -> page_index:int -> int
+(** The global page id of page [page_index] of [home]'s section: the
+    home in the bits from 16 up, the page index below. *)
+
+val page_home : int -> int
+val page_index : int -> int
+(** The two halves of a global page id. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,6 @@
-(* Heap cell contents.
-
-   Every heap word holds one of these.  Keeping the representation explicit
-   (rather than using raw ints) lets the cache store typed copies of lines
-   and lets tests compare whole memories structurally. *)
+(* Heap cell contents in their boxed edge form.  The heap itself stores a
+   tag byte plus one slot per word (Word); these accessors define what
+   every typed read of a word returns or raises. *)
 
 type t =
   | Nil (* uninitialized word / null pointer *)

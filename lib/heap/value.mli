@@ -1,8 +1,11 @@
-(** Heap cell contents.
+(** Heap cell contents, in their boxed edge form.
 
-    Every heap word holds one of these.  Keeping the representation
-    explicit (rather than raw integers) lets the cache store typed line
-    copies and lets tests compare whole memories structurally. *)
+    The heap does not store these: a heap word is a tag byte plus one
+    slot ({!Word}), read and written by the typed accessors.  A
+    [Value.t] is built only at the edges — the generic {!Memory.load}
+    and [Ops.load] the interpreter uses, the payloads of a migrating
+    load or store, {!Memory.word_at}, {!Memory.digest} and tests — and
+    its accessors define what every typed read does. *)
 
 type t =
   | Nil  (** an uninitialized word / null pointer *)

@@ -52,6 +52,12 @@ type _ Effect.t +=
   | Work : int -> unit Effect.t (* charge compute cycles *)
   | Alloc : int * int -> Gptr.t Effect.t (* ALLOC (proc, words) *)
   | Load : Site.t * Gptr.t * int -> Value.t Effect.t (* site, base, field *)
+  (* a typed load that must migrate: one constructor per word kind, so
+     the payload is the same three fields and the word comes back
+     unboxed *)
+  | Load_int : Site.t * Gptr.t * int -> int Effect.t
+  | Load_float : Site.t * Gptr.t * int -> float Effect.t
+  | Load_ptr : Site.t * Gptr.t * int -> Gptr.t Effect.t
   | Store : Site.t * Gptr.t * int * Value.t -> unit Effect.t
   | Future : (unit -> Value.t) -> fut Effect.t (* futurecall *)
   | Touch : Site.t option * fut -> Value.t Effect.t

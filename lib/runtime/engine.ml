@@ -467,7 +467,7 @@ let immediate_alloc t ~proc words =
    arms below, also the degraded path a migration falls back to when its
    home keeps dropping thread transfers.  Every caller has tested [g] for
    null already, here and in the migrate arms below. *)
-let cached_load t (site : Site.t) g field =
+let cached_load t kind (site : Site.t) g field =
   site.Site.loads <- site.Site.loads + 1;
   if Gptr.unsafe_proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
@@ -478,12 +478,12 @@ let cached_load t (site : Site.t) g field =
   let s = stats t in
   let before = s.Stats.cache_misses in
   let retries_before = s.Stats.retries in
-  let v = Cache.read t.cache ~proc:t.cur_proc g ~field in
+  let v = Cache.read_as kind t.cache ~proc:t.cur_proc g ~field in
   site.Site.misses <- site.Site.misses + s.Stats.cache_misses - before;
   site.Site.retries <- site.Site.retries + s.Stats.retries - retries_before;
   v
 
-let cached_store t (site : Site.t) g field v =
+let cached_store t kind (site : Site.t) g field v =
   site.Site.stores <- site.Site.stores + 1;
   if Gptr.unsafe_proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
@@ -493,7 +493,8 @@ let cached_store t (site : Site.t) g field v =
   end;
   let s = stats t in
   let retries_before = s.Stats.retries in
-  Cache.write t.cache ~proc:t.cur_proc g ~field v ~log:t.cur_thread.log;
+  Cache.write_as kind t.cache ~proc:t.cur_proc g ~field v
+    ~log:t.cur_thread.log;
   site.Site.retries <- site.Site.retries + s.Stats.retries - retries_before
 
 (* A migration whose source and home-map-resolved target are the same
@@ -512,18 +513,18 @@ let collapsed_hop t ~seat =
   Cache.on_migration_received t.cache ~proc:t.cur_proc;
   t.cur_thread.seat <- seat
 
-let immediate_load_u t (site : Site.t) g field =
+let immediate_load_u t kind (site : Site.t) g field =
   if Gptr.is_null g then raise (Null_dereference (Site.name site));
   let c = costs t in
   if t.cfg.C.sequential then begin
     site.Site.loads <- site.Site.loads + 1;
     advance t c.C.local_ref;
-    Memory.load t.memory g field
+    Memory.load_as kind t.memory g field
   end
   else begin
     check_crash t ~proc:t.cur_proc ~thread:t.cur_thread;
     match effective_mechanism t site with
-    | C.Cache -> cached_load t site g field
+    | C.Cache -> cached_load t kind site g field
     | C.Migrate ->
         (* the locality test reads through the home map: pages whose
            home fail-stopped over to *this* processor are local now
@@ -536,23 +537,23 @@ let immediate_load_u t (site : Site.t) g field =
           advance t c.C.pointer_test;
           advance t c.C.local_ref;
           (stats t).Stats.local_refs <- (stats t).Stats.local_refs + 1;
-          Memory.load t.memory g field
+          Memory.load_as kind t.memory g field
         end
         else raise_notrace Must_perform
   end
 
-let immediate_store_u t (site : Site.t) g field v =
+let immediate_store_u t kind (site : Site.t) g field v =
   if Gptr.is_null g then raise (Null_dereference (Site.name site));
   let c = costs t in
   if t.cfg.C.sequential then begin
     site.Site.stores <- site.Site.stores + 1;
     advance t c.C.local_ref;
-    Memory.store t.memory g field v
+    Memory.store_as kind t.memory g field v
   end
   else begin
     check_crash t ~proc:t.cur_proc ~thread:t.cur_thread;
     match effective_mechanism t site with
-    | C.Cache -> cached_store t site g field v
+    | C.Cache -> cached_store t kind site g field v
     | C.Migrate ->
         let home = Gptr.unsafe_proc g in
         if Machine.home_of t.machine home = t.cur_proc then begin
@@ -561,8 +562,8 @@ let immediate_store_u t (site : Site.t) g field v =
           advance t c.C.pointer_test;
           advance t c.C.local_ref;
           (stats t).Stats.local_refs <- (stats t).Stats.local_refs + 1;
-          Memory.store t.memory g field v;
-          Cache.note_migrate_write t.cache ~proc:t.cur_proc g ~field v
+          Memory.store_as kind t.memory g field v;
+          Cache.note_migrate_write kind t.cache ~proc:t.cur_proc g ~field v
             ~log:t.cur_thread.log
         end
         else raise_notrace Must_perform
@@ -587,23 +588,23 @@ let completed_mech t (site : Site.t) =
   if t.cfg.C.sequential then 0
   else match effective_mechanism t site with C.Cache -> 1 | C.Migrate -> 0
 
-let immediate_load t (site : Site.t) g field =
-  if not (Span.on t.sp) then immediate_load_u t site g field
+let immediate_load t kind (site : Site.t) g field =
+  if not (Span.on t.sp) then immediate_load_u t kind site g field
   else begin
     if not (Span.root_open t.sp) then
       Span.open_root t.sp ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
-    let v = immediate_load_u t site g field in
+    let v = immediate_load_u t kind site g field in
     Span.close_root t.sp ~t1:(now t) ~a:site.Site.sid
       ~b:(completed_mech t site);
     v
   end
 
-let immediate_store t (site : Site.t) g field v =
-  if not (Span.on t.sp) then immediate_store_u t site g field v
+let immediate_store t kind (site : Site.t) g field v =
+  if not (Span.on t.sp) then immediate_store_u t kind site g field v
   else begin
     if not (Span.root_open t.sp) then
       Span.open_root t.sp ~kind:Span.Deref ~proc:t.cur_proc ~t0:(now t);
-    immediate_store_u t site g field v;
+    immediate_store_u t kind site g field v;
     Span.close_root t.sp ~t1:(now t) ~a:site.Site.sid
       ~b:(completed_mech t site)
   end
@@ -646,8 +647,11 @@ let fast_work n = immediate_work (engine ()) n
 let fast_self () = (engine ()).cur_thread.seat
 let fast_nprocs () = (engine ()).cfg.C.nprocs
 let fast_alloc ~proc words = immediate_alloc (engine ()) ~proc words
-let fast_load site g field = immediate_load (engine ()) site g field
-let fast_store site g field v = immediate_store (engine ()) site g field v
+let fast_load kind site g field = immediate_load (engine ()) kind site g field
+
+let fast_store kind site g field v =
+  immediate_store (engine ()) kind site g field v
+
 let fast_touch cell = immediate_touch (engine ()) cell
 
 (* Decide the fate of a migration's thread-state transfer before the fiber
@@ -707,10 +711,10 @@ let resume_root t ~ep0 =
         ~b:0
   end
 
-let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
+let load_arm t kind (k : ('a, unit) Effect.Deep.continuation) =
   let site = t.e_site and g = t.e_gptr and field = t.e_field in
   let ep0 = now t in
-  match immediate_load t site g field with
+  match immediate_load t kind site g field with
   | v -> Effect.Deep.continue k v
   | exception Must_perform -> (
       (* the reference must migrate: only here is the fiber captured *)
@@ -728,17 +732,19 @@ let load_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
           ~k
           ~complete:(fun () ->
             (* re-resolve: the home may have failed over while the state
-               was in flight *)
+               was in flight.  [costs t] is read here, not captured:
+               every captured value is one more word of this closure,
+               which each migrating load allocates *)
             Machine.advance t.machine (Machine.home_of t.machine home)
-              c.C.local_ref;
-            Memory.load t.memory g field)
+              (costs t).C.local_ref;
+            Memory.load_as kind t.memory g field)
       end
       else begin
         let sp = Span.on t.sp in
         let prev = if sp then Span.parent t.sp else -1 in
         let cid = if sp then Span.enter t.sp else -1 in
         let cs0 = now t in
-        let v = cached_load t site g field in
+        let v = cached_load t kind site g field in
         if sp then begin
           Span.exit_emit t.sp ~id:cid ~prev ~kind:Span.Cache_service
             ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
@@ -752,7 +758,7 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
   let site = t.e_site and g = t.e_gptr and field = t.e_field in
   let v = t.e_value in
   let ep0 = now t in
-  match immediate_store t site g field v with
+  match immediate_store t Word.Value site g field v with
   | () -> Effect.Deep.continue k ()
   | exception Must_perform -> (
       let c = costs t in
@@ -771,7 +777,7 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
             let h = Machine.home_of t.machine home in
             Machine.advance t.machine h c.C.local_ref;
             Memory.store t.memory g field v;
-            Cache.note_migrate_write t.cache ~proc:h g ~field v
+            Cache.note_migrate_write Word.Value t.cache ~proc:h g ~field v
               ~log:t.cur_thread.log)
       end
       else begin
@@ -779,7 +785,7 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
         let prev = if sp then Span.parent t.sp else -1 in
         let cid = if sp then Span.enter t.sp else -1 in
         let cs0 = now t in
-        cached_store t site g field v;
+        cached_store t Word.Value site g field v;
         if sp then begin
           Span.exit_emit t.sp ~id:cid ~prev ~kind:Span.Cache_service
             ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
@@ -963,8 +969,16 @@ let phase_arm t name (k : (unit, unit) Effect.Deep.continuation) =
         kind = Trace.Phase_mark name };
   Effect.Deep.continue k ()
 
+let park_load t site g field =
+  t.e_site <- site;
+  t.e_gptr <- g;
+  t.e_field <- field
+
 let make_handler t : (unit, unit) Effect.Deep.handler =
-  let load = Some (load_arm t) in
+  let load = Some (load_arm t Word.Value) in
+  let load_int = Some (load_arm t Word.Int) in
+  let load_float = Some (load_arm t Word.Float) in
+  let load_ptr = Some (load_arm t Word.Ptr) in
   let store = Some (store_arm t) in
   let future = Some (future_arm t) in
   let touch = Some (touch_arm t) in
@@ -972,10 +986,17 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
   let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
     function
     | Load (site, g, field) ->
-        t.e_site <- site;
-        t.e_gptr <- g;
-        t.e_field <- field;
+        park_load t site g field;
         load
+    | Load_int (site, g, field) ->
+        park_load t site g field;
+        load_int
+    | Load_float (site, g, field) ->
+        park_load t site g field;
+        load_float
+    | Load_ptr (site, g, field) ->
+        park_load t site g field;
+        load_ptr
     | Store (site, g, field, v) ->
         t.e_site <- site;
         t.e_gptr <- g;

@@ -130,6 +130,11 @@ val fast_work : int -> unit
 val fast_self : unit -> int
 val fast_nprocs : unit -> int
 val fast_alloc : proc:int -> int -> Gptr.t
-val fast_load : Site.t -> Gptr.t -> int -> Value.t
-val fast_store : Site.t -> Gptr.t -> int -> Value.t -> unit
+val fast_load : 'a Word.kind -> Site.t -> Gptr.t -> int -> 'a
+val fast_store : 'a Word.kind -> Site.t -> Gptr.t -> int -> 'a -> unit
+(** A dereference carries the kind of the word it reads or writes down
+    to the heap or the cached frame, where {!Word.get} checks it: a
+    typed load or store on this path allocates nothing.  The effect
+    payloads of the migrating path stay {!Value.t}. *)
+
 val fast_touch : Effects.fut -> Value.t

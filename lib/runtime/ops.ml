@@ -28,23 +28,37 @@ let alloc ~proc words =
 
 let alloc_local words = alloc ~proc:(self ()) words
 
-(* A heap read/write through dereference site [site]. *)
-let load site g field =
-  try Engine.fast_load site g field
-  with Engine.Must_perform -> Effect.perform (Effects.Load (site, g, field))
+(* A heap read/write of a [kind] word through dereference site [site].
+   The fast path carries the kind down to the word.  A load that must
+   migrate performs its kind's effect, whose arm reads the word as that
+   kind at the home; a store that must migrate boxes its word in the
+   [Value.t] payload of [Store]. *)
+let perform_load : type a. a Word.kind -> Site.t -> Gptr.t -> int -> a =
+ fun kind site g field ->
+  match kind with
+  | Word.Int -> Effect.perform (Effects.Load_int (site, g, field))
+  | Word.Float -> Effect.perform (Effects.Load_float (site, g, field))
+  | Word.Ptr -> Effect.perform (Effects.Load_ptr (site, g, field))
+  | Word.Value -> Effect.perform (Effects.Load (site, g, field))
 
-let store site g field v =
-  try Engine.fast_store site g field v
+let load_as kind site g field =
+  try Engine.fast_load kind site g field
+  with Engine.Must_perform -> perform_load kind site g field
+
+let store_as kind site g field v =
+  try Engine.fast_store kind site g field v
   with Engine.Must_perform ->
-    Effect.perform (Effects.Store (site, g, field, v))
+    Effect.perform (Effects.Store (site, g, field, Word.to_value kind v))
 
-let load_ptr site g field = Value.to_ptr (load site g field)
-let load_int site g field = Value.to_int (load site g field)
-let load_float site g field = Value.to_float (load site g field)
+let load site g field = load_as Word.Value site g field
+let load_ptr site g field = load_as Word.Ptr site g field
+let load_int site g field = load_as Word.Int site g field
+let load_float site g field = load_as Word.Float site g field
 
-let store_ptr site g field p = store site g field (Value.Ptr p)
-let store_int site g field i = store site g field (Value.Int i)
-let store_float site g field f = store site g field (Value.Float f)
+let store site g field v = store_as Word.Value site g field v
+let store_ptr site g field p = store_as Word.Ptr site g field p
+let store_int site g field i = store_as Word.Int site g field i
+let store_float site g field f = store_as Word.Float site g field f
 
 (* futurecall / touch (Section 2).  A futurecall always saves its return
    continuation on the work list, so it always performs; a touch of an

@@ -28,6 +28,15 @@ val load : Site.t -> Gptr.t -> int -> Value.t
     @raise Engine.Null_dereference on {!Gptr.null}. *)
 
 val store : Site.t -> Gptr.t -> int -> Value.t -> unit
+(** {!load} and {!store} take and return the boxed edge form; a heap
+    word is stored unboxed ({!Word}), so [load] allocates its result
+    unless the word is [Nil]. *)
+
+(** Typed accesses: the kind travels with the dereference down to the
+    word, where it is checked with {!Value.to_int}'s (and its
+    siblings') semantics and messages.  Loads, [store_int] and
+    [store_ptr] allocate nothing unless the dereference migrates;
+    [store_float] stores its argument's box. *)
 
 val load_ptr : Site.t -> Gptr.t -> int -> Gptr.t
 val load_int : Site.t -> Gptr.t -> int -> int

@@ -142,8 +142,7 @@ let test_release coherence name =
   let mem = Memory.create ~nprocs:8 in
   let cs = Cache_system.create cfg machine mem in
   let region = Memory.alloc mem ~proc:1 G.words_per_page in
-  (* the cache layer's page id: home in the bits above 16 *)
-  let gpage = (1 lsl 16) lor G.page_of_word (Gptr.addr region) in
+  let gpage = Gptr.global_page region in
   let log = Write_log.create () in
   zero (name ^ " release, clean log") (fun () ->
       for _ = 1 to calls do
@@ -201,11 +200,12 @@ let test_thread_delivery () =
    closure. *)
 let test_probe_memo_miss () =
   let tbl = Translation.create () in
-  let pages = Array.init 8 (fun i -> (1 lsl 16) lor i) in
+  let pages = Array.init 8 (fun i -> Gptr.page_id ~home:1 ~page_index:i) in
   Array.iter
     (fun gpage ->
       ignore
-        (Translation.insert tbl ~gpage ~home:1 ~page_index:(gpage land 0xffff)))
+        (Translation.insert tbl ~gpage ~home:1
+           ~page_index:(Gptr.page_index gpage)))
     pages;
   let found = ref 0 in
   zero "Translation.probe missing the memo" (fun () ->
@@ -244,6 +244,85 @@ let test_remote_hit () =
   check Alcotest.int "two line fills" 2 s.Stats.cache_misses;
   check Alcotest.int "every other read hit" ((2 * calls) - 2) s.Stats.cache_hits
 
+let ceiling name ~limit words =
+  check bool
+    (Printf.sprintf "%s allocates at most %.0f words (got %.1f)" name limit
+       words)
+    true (words <= limit)
+
+(* The typed operations on each path that completes without migrating:
+   the sequential baseline, a migrate site and a cache site whose word
+   is local, and a remote cache hit.  Each word is stored and loaded as
+   its own kind, so a load hands back the slot (an [Int] or [Ptr]
+   immediate, or the float's stored box) and a store writes one; only
+   [store_float] may box its argument. *)
+let typed_paths =
+  let local = C.make ~nprocs:2 () in
+  [
+    ("sequential", C.sequential_of local, Site.migrate "alloc.seq", 0);
+    ("migrate site, local word", local, Site.migrate "alloc.mig_local", 0);
+    ("cache site, local word", local, Site.cache "alloc.cache_local", 0);
+    ("remote cache hit", local, Site.cache "alloc.cache_remote", 1);
+  ]
+
+let test_typed_ops () =
+  List.iter
+    (fun (path, cfg, site, home) ->
+      let pinned = ref [] in
+      let measure name f = pinned := (name, minor_words f) :: !pinned in
+      ignore
+        (Engine.run cfg (fun () ->
+             let g = Ops.alloc ~proc:home 3 in
+             let p = Ops.alloc ~proc:0 1 in
+             Ops.store_int site g 0 5;
+             Ops.store_ptr site g 1 p;
+             Ops.store_float site g 2 0.5;
+             (* warm the line: on the remote path every loop below hits *)
+             ignore (Ops.load_int site g 0);
+             let sum = ref 0 and ptrs = ref 0 and acc = [| 0. |] in
+             measure "Ops.load_int" (fun () ->
+                 for _ = 1 to calls do
+                   sum := !sum + Ops.load_int site g 0
+                 done);
+             measure "Ops.load_ptr" (fun () ->
+                 for _ = 1 to calls do
+                   if Gptr.equal (Ops.load_ptr site g 1) p then incr ptrs
+                 done);
+             measure "Ops.load_float" (fun () ->
+                 for _ = 1 to calls do
+                   acc.(0) <- acc.(0) +. Ops.load_float site g 2
+                 done);
+             measure "Ops.store_int" (fun () ->
+                 for i = 1 to calls do
+                   Ops.store_int site g 0 i
+                 done);
+             measure "Ops.store_ptr" (fun () ->
+                 for _ = 1 to calls do
+                   Ops.store_ptr site g 1 p
+                 done);
+             measure "Ops.store_float" (fun () ->
+                 for i = 1 to calls do
+                   Ops.store_float site g 2 (float_of_int i)
+                 done);
+             check Alcotest.int (path ^ ": ints read back") (10 * calls) !sum;
+             check Alcotest.int (path ^ ": pointers read back") (2 * calls)
+               !ptrs;
+             check (Alcotest.float 0.) (path ^ ": floats read back")
+               (float_of_int calls) acc.(0);
+             check Alcotest.int (path ^ ": last float stored")
+               calls (int_of_float (Ops.load_float site g 2))));
+      List.iter
+        (fun (name, words) ->
+          let per_call = words /. float_of_int calls in
+          if name = "Ops.store_float" then
+            ceiling (Printf.sprintf "%s, %s, per call" name path) ~limit:2.
+              per_call
+          else
+            check (Alcotest.float 0.)
+              (Printf.sprintf "%s, %s: no minor words" name path) 0. words)
+        !pinned)
+    typed_paths
+
 (* [Ops.call] around a load through a migrate site homed on processor 1:
    a migration there and a return stub back, per call; then plain loads
    of processor 0's own memory through a migrate site. *)
@@ -270,12 +349,6 @@ let round_trip cfg =
   check Alcotest.int "every call migrated" (2 * calls)
     report.Engine.stats.Stats.migrations;
   (!trip /. float_of_int calls, !load /. float_of_int calls)
-
-let ceiling name ~limit words =
-  check bool
-    (Printf.sprintf "%s allocates at most %.0f words (got %.1f)" name limit
-       words)
-    true (words <= limit)
 
 let test_round_trip_plain () =
   let trip, load = round_trip (C.make ~nprocs:8 ()) in
@@ -338,7 +411,7 @@ let write_log_agrees ops =
       (match op with
       | Record (page, line, home) ->
           (* page ids spread over homes, as global page ids are *)
-          let gpage = ((page mod 5) lsl 16) lor (page * 37) in
+          let gpage = Gptr.page_id ~home:(page mod 5) ~page_index:(page * 37) in
           Write_log.record log ~gpage ~line ~home;
           model :=
             IntMap.update gpage
@@ -473,4 +546,7 @@ let suite =
       `Quick test_probe_memo_miss;
     Alcotest.test_case "remote cache hit through Ops.load_int allocates nothing"
       `Quick test_remote_hit;
+    Alcotest.test_case
+      "typed loads and stores allocate nothing, store_float at most 2 words"
+      `Quick test_typed_ops;
   ]

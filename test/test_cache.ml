@@ -38,12 +38,14 @@ let test_translation_collisions () =
   let t = Translation.create () in
   let gpages =
     List.init 64 (fun i -> 5 + (i * G.hash_buckets))
-    @ List.init 64 (fun i -> (3 lsl 16) lor i)
+    @ List.init 64 (fun i -> Gptr.page_id ~home:3 ~page_index:i)
   in
   let entries =
     List.map
       (fun g ->
-        (g, Translation.insert t ~gpage:g ~home:(g lsr 16) ~page_index:(g land 0xffff)))
+        ( g,
+          Translation.insert t ~gpage:g ~home:(Gptr.page_home g)
+            ~page_index:(Gptr.page_index g) ))
       gpages
   in
   List.iter
@@ -162,7 +164,9 @@ let prop_translation_differential =
       let t = Translation.create () in
       let r = Ref_table.create () in
       (* 4 homes x 16 pages: enough density to exercise probing *)
-      let gpage_of sel = ((sel lsr 4) lsl 16) lor (sel land 0xf) in
+      let gpage_of sel =
+        Gptr.page_id ~home:(sel lsr 4) ~page_index:(sel land 0xf)
+      in
       let agree () =
         (* every reference entry is observable in the table, equal in
            every visible field, and the table holds nothing more *)
@@ -187,7 +191,8 @@ let prop_translation_differential =
               match Ref_table.find r gpage with
               | Some _ -> ()
               | None ->
-                  let home = gpage lsr 16 and page_index = gpage land 0xffff in
+                  let home = Gptr.page_home gpage
+                  and page_index = Gptr.page_index gpage in
                   (* both models hand out fresh entries non-suspect, even
                      right after a mark_all_suspect *)
                   ignore (Ref_table.insert r ~gpage ~home ~page_index);
@@ -308,6 +313,26 @@ let test_cache_read_local_remote () =
   check int "still one miss" 1 (Machine.stats machine).Stats.cache_misses;
   check int "one hit" 1 (Machine.stats machine).Stats.cache_hits;
   check int "one page entry" 1 (Machine.stats machine).Stats.pages_cached
+
+(* The cache files a remote page under [Gptr.global_page] of any pointer
+   into it: the page id the directory, the write log and a release use
+   is the one a caller derives from the pointer. *)
+let test_cache_page_ids () =
+  let sys, _machine, memory = mk_system () in
+  let a = Memory.alloc memory ~proc:3 (3 * G.words_per_page) in
+  let p = Gptr.offset a ((2 * G.words_per_page) + 5) in
+  Memory.store_int memory p 0 42;
+  check int "remote read" 42
+    (Cache_system.read_as Word.Int sys ~proc:1 p ~field:0);
+  let gpage = Gptr.global_page p in
+  check int "home half" 3 (Gptr.page_home gpage);
+  check int "page half" 2 (Gptr.page_index gpage);
+  match Translation.find (Cache_system.table sys 1) gpage with
+  | None -> Alcotest.fail "no entry at Gptr.global_page"
+  | Some e ->
+      check int "entry home" 3 e.Translation.home;
+      check int "entry page" 2 e.Translation.page_index;
+      check int "filed under its tag" gpage e.Translation.gpage
 
 let test_cache_write_through () =
   List.iter
@@ -508,6 +533,8 @@ let suite =
     Alcotest.test_case "directory sharers" `Quick test_directory_sharers;
     Alcotest.test_case "directory timestamps" `Quick test_directory_timestamps;
     Alcotest.test_case "read local/remote" `Quick test_cache_read_local_remote;
+    Alcotest.test_case "a cached page is filed under Gptr.global_page" `Quick
+      test_cache_page_ids;
     Alcotest.test_case "write-through" `Quick test_cache_write_through;
     Alcotest.test_case "local: flush on migration" `Quick
       test_local_scheme_flush_on_migration;

@@ -187,6 +187,215 @@ let test_read_line () =
   let beyond = Memory.read_line m ~proc:0 ~line_index:5 in
   Array.iter (fun v -> check bool "nil" true (Value.equal Value.Nil v)) beyond
 
+(* [word_at] reads any address of an existing section, a negative one
+   included, and names a missing processor as [load] does. *)
+let test_word_at_contract () =
+  let m = Memory.create ~nprocs:2 in
+  let a = Memory.alloc m ~proc:1 4 in
+  Memory.store_int m a 0 9;
+  check bool "allocated word" true
+    (Value.equal (Value.Int 9) (Memory.word_at m ~proc:1 ~addr:0));
+  List.iter
+    (fun addr ->
+      check bool
+        (Printf.sprintf "address %d reads as nil" addr)
+        true
+        (Value.equal Value.Nil (Memory.word_at m ~proc:1 ~addr)))
+    [ -1; min_int; 4; 1_000_000 ];
+  let missing proc addr =
+    let stray = Gptr.make ~proc ~addr in
+    Invalid_argument
+      (Printf.sprintf "Memory: %s: no processor" (Gptr.to_string stray))
+  in
+  Alcotest.check_raises "word_at on a missing processor" (missing 2 0)
+    (fun () -> ignore (Memory.word_at m ~proc:2 ~addr:0));
+  Alcotest.check_raises "load on a missing processor" (missing 2 0) (fun () ->
+      ignore (Memory.load m (Gptr.make ~proc:2 ~addr:0) 0));
+  Alcotest.check_raises "word_at on a negative processor"
+    (Invalid_argument "Memory: <-1,3>: no processor") (fun () ->
+      ignore (Memory.word_at m ~proc:(-1) ~addr:3))
+
+(* --- Typed words against a Value.t model ---------------------------------- *)
+
+(* A section of three objects, 4000, 150 and 60 words, so its words run
+   across the first chunk boundary (4096) and end partway through a
+   line.  Typed and edge stores at random addresses, bunched at the
+   chunk boundary and the section's end, are mirrored into a [Value.t
+   array]; line fills into a page frame, as the cache makes them, are
+   interleaved with the stores.  Floats compare by bit pattern. *)
+let model_words = 4210
+let chunk_edge = 4096
+
+type heap_op =
+  | Put of int * Value.t * bool (* address, value, through the edge store *)
+  | Fill of int (* fill the line holding this address *)
+
+let same a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.bits_of_float x = Int64.bits_of_float y
+  | _ -> Value.equal a b
+
+let gen_value =
+  let open QCheck.Gen in
+  let float_bits =
+    [
+      0L; Int64.bits_of_float (-0.); Int64.bits_of_float infinity;
+      Int64.bits_of_float neg_infinity; 0x7ff8000000000001L;
+      0xfff0000000000001L; 0x7ff4000000000000L; 1L;
+    ]
+  in
+  frequency
+    [
+      (1, return Value.Nil);
+      ( 3,
+        map (fun i -> Value.Int i)
+          (oneof [ oneofl [ min_int; max_int; 0; -1 ]; int ]) );
+      ( 3,
+        map (fun f -> Value.Float f)
+          (oneof [ map Int64.float_of_bits (oneofl float_bits); float ]) );
+      ( 3,
+        map (fun p -> Value.Ptr p)
+          (oneof
+             [
+               return Gptr.null;
+               map2
+                 (fun proc addr -> Gptr.make ~proc ~addr)
+                 (int_bound (Gptr.max_procs - 1))
+                 (int_bound Gptr.max_addr);
+             ]) );
+    ]
+
+let gen_addr =
+  QCheck.Gen.(
+    oneof
+      [
+        int_bound (model_words - 1);
+        map (fun d -> chunk_edge - 8 + d) (int_bound 15);
+        map (fun d -> model_words - 1 - d) (int_bound 15);
+      ])
+
+let gen_heap_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 200)
+      (frequency
+         [
+           (10, map3 (fun a v e -> Put (a, v, e)) gen_addr gen_value bool);
+           (1, map (fun a -> Fill a) gen_addr);
+         ]))
+
+let print_heap_op = function
+  | Put (a, v, e) ->
+      Printf.sprintf "%s %d %s" (if e then "store" else "typed")
+        a
+        (match v with
+        | Value.Float f -> Printf.sprintf "%Lx" (Int64.bits_of_float f)
+        | v -> Value.to_string v)
+  | Fill a -> Printf.sprintf "fill %d" a
+
+(* What an accessor returns, or the message it raises. *)
+let outcome f x =
+  match f x with v -> Ok v | exception Invalid_argument m -> Error m
+
+let typed_agree m base model addr =
+  let v = model.(addr) in
+  let bits f = Int64.bits_of_float f in
+  outcome Value.to_int v = outcome (Memory.load_int m base) addr
+  && Result.map bits (outcome Value.to_float v)
+     = Result.map bits (outcome (Memory.load_float m base) addr)
+  && outcome Value.to_ptr v = outcome (Memory.load_ptr m base) addr
+  && same v (Memory.load m base addr)
+
+let heap_model_agrees ops =
+  let m = Memory.create ~nprocs:2 in
+  let base = Memory.alloc m ~proc:0 4000 in
+  ignore (Memory.alloc m ~proc:0 150);
+  ignore (Memory.alloc m ~proc:0 60);
+  ignore (Memory.alloc m ~proc:1 5);
+  let model = Array.make model_words Value.Nil in
+  let frame = Word.block G.words_per_page in
+  let put addr v ~edge =
+    model.(addr) <- v;
+    if edge then Memory.store m base addr v
+    else
+      match v with
+      | Value.Int i -> Memory.store_int m base addr i
+      | Value.Float f -> Memory.store_float m base addr f
+      | Value.Ptr p -> Memory.store_ptr m base addr p
+      | Value.Nil -> Memory.store m base addr v
+  in
+  let word addr = if addr < model_words then model.(addr) else Value.Nil in
+  let fill_agrees addr =
+    let line_index = G.line_index_of_word addr in
+    let dst_pos = G.line_of_word addr * G.words_per_line in
+    Memory.blit_line m ~proc:0 ~line_index ~dst:frame ~dst_pos;
+    List.for_all
+      (fun i ->
+        let v = word ((line_index * G.words_per_line) + i) in
+        same v (Word.get Word.Value frame (dst_pos + i))
+        && outcome Value.to_ptr v
+           = outcome (Word.get Word.Ptr frame) (dst_pos + i))
+      (List.init G.words_per_line Fun.id)
+  in
+  let replay () =
+    (* the same heap built through the edge store only *)
+    let r = Memory.create ~nprocs:2 in
+    let rb = Memory.alloc r ~proc:0 model_words in
+    ignore (Memory.alloc r ~proc:1 5);
+    Array.iteri (fun addr v -> Memory.store r rb addr v) model;
+    r
+  in
+  List.for_all
+    (function
+      | Put (addr, v, edge) ->
+          put addr v ~edge;
+          typed_agree m base model addr
+      | Fill addr -> fill_agrees addr)
+    ops
+  && List.for_all (typed_agree m base model) (List.init model_words Fun.id)
+  && List.for_all
+       (fun addr -> same (word addr) (Memory.word_at m ~proc:0 ~addr))
+       (List.init (model_words + 20) Fun.id)
+  && List.for_all
+       (fun line_index ->
+         let line = Memory.read_line m ~proc:0 ~line_index in
+         List.for_all
+           (fun i -> same (word ((line_index * G.words_per_line) + i)) line.(i))
+           (List.init G.words_per_line Fun.id))
+       (List.init ((model_words / G.words_per_line) + 2) Fun.id)
+  && Memory.digest m = Memory.digest (replay ())
+
+let prop_heap_model =
+  QCheck.Test.make
+    ~name:"typed and edge stores, line fills, word_at, digest = Value.t model"
+    ~count:100
+    (QCheck.make ~print:(QCheck.Print.list print_heap_op) gen_heap_ops)
+    heap_model_agrees
+
+(* A kind mismatch raises exactly what [Value]'s accessor raises. *)
+let test_typed_mismatch () =
+  let m = Memory.create ~nprocs:1 in
+  let a = Memory.alloc m ~proc:0 3 in
+  Memory.store_ptr m a 0 (Gptr.make ~proc:1 ~addr:2);
+  Memory.store_float m a 1 1.5;
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "int of ptr" "Value.to_int: <1,2>" (fun () -> Memory.load_int m a 0);
+  raises "int of float" "Value.to_int: 1.5" (fun () -> Memory.load_int m a 1);
+  raises "int of nil" "Value.to_int: nil" (fun () -> Memory.load_int m a 2);
+  raises "float of ptr" "Value.to_float: <1,2>" (fun () ->
+      Memory.load_float m a 0);
+  raises "float of nil" "Value.to_float: nil" (fun () ->
+      Memory.load_float m a 2);
+  raises "ptr of float" "Value.to_ptr: 1.5" (fun () -> Memory.load_ptr m a 1);
+  Memory.store_int m a 1 (-7);
+  raises "ptr of int" "Value.to_ptr: -7" (fun () -> Memory.load_ptr m a 1);
+  check (Alcotest.float 0.) "int promotes to float" (-7.)
+    (Memory.load_float m a 1);
+  check bool "nil reads as the null pointer" true
+    (Gptr.is_null (Memory.load_ptr m a 2))
+
 (* --- Geometry ------------------------------------------------------------ *)
 
 let test_geometry () =
@@ -232,4 +441,9 @@ let suite =
     Alcotest.test_case "gptr of_int" `Quick test_gptr_of_int;
     Alcotest.test_case "memory null and out of range, load and store" `Quick
       test_memory_null_and_range;
+    Alcotest.test_case "word_at: negative address nil, missing processor raises"
+      `Quick test_word_at_contract;
+    Alcotest.test_case "typed load of the wrong kind raises Value's message"
+      `Quick test_typed_mismatch;
+    QCheck_alcotest.to_alcotest prop_heap_model;
   ]
