@@ -1,6 +1,9 @@
-(* Pins on the operation sequence of the three M+C kernels whose host
-   code is hand-optimised: Barnes-Hut, TSP and Voronoi, under local and
-   global coherence at 4 processors and their minimum problem sizes.
+(* Pins on the operation sequence of all ten kernels under the local,
+   global and bilateral coherence schemes at 4 processors and their
+   minimum problem sizes.  Every kernel runs futurecalls, and the trace
+   stream carries thread ids, so the pins cover the runtime's future path
+   as well as the hand-optimised host code of Barnes-Hut, TSP and
+   Voronoi.
 
    Each pin is an MD5 over the run's whole trace event stream (every
    cache hit and miss with its site and cycle), every [Stats] field of
@@ -13,8 +16,8 @@
 open Olden
 module B = Olden_benchmarks
 
-let specs = [ B.Barneshut.spec; B.Tsp.spec; B.Voronoi.spec ]
-let schemes = [ Config.Local; Config.Global ]
+let specs = B.Registry.specs
+let schemes = [ Config.Local; Config.Global; Config.Bilateral ]
 
 let pin (s : B.Common.spec) coherence =
   Site.reset ();
