@@ -14,10 +14,11 @@
    update one slot without a search.  The written-processor set is an int
    bitmask, not a list.
 
-   Every thread (each future, each served request) gets a log, most of
-   them never write a cacheable line, and the local scheme never reads
-   the dirty set at all: the array is created on the first [record], and
-   [record_home] logs only the processor. *)
+   Most threads (each future, each served request) never write a
+   cacheable line, so the runtime starts every thread on one shared,
+   always-empty log and creates its own at the first write.  The local
+   scheme never reads the dirty set at all: the array is created on the
+   first [record], and [record_home] logs only the processor. *)
 
 type t = {
   mutable entries : int array;

@@ -14,12 +14,27 @@
    resolved target collapses onto the processor the thread already
    occupies (the successor adopted the page's home).  The hop then moves
    no state, but the protocol's release/acquire pair must still fire —
-   the seat is what detects such collapsed hops. *)
+   the seat is what detects such collapsed hops.
+
+   Most threads (each future's parent continuation, each served request)
+   never write, so a thread starts on the shared, always-empty
+   [clean_log] and gets a log of its own at its first write
+   ([writable_log]).  An empty log of its own and [clean_log] read the
+   same to every release and acquire. *)
 type thread = {
   tid : int;
   mutable seat : int;
-  log : Olden_cache.Write_log.t;
+  mutable log : Olden_cache.Write_log.t;
 }
+
+(* Shared by every engine on every domain, so nothing may write it: a
+   write goes through [writable_log]. *)
+let clean_log = Olden_cache.Write_log.create ()
+
+(* The thread's log, to record a write in: its own, made on first use. *)
+let writable_log th =
+  if th.log == clean_log then th.log <- Olden_cache.Write_log.create ();
+  th.log
 
 type cell_state =
   | Done of Value.t
@@ -45,7 +60,8 @@ and fut = {
          toucher can share a physical processor while the protocol still
          considers them at different (virtual) locations, and the
          acquire-side invalidation must not be skipped *)
-  mutable resolver_log : Olden_cache.Write_log.t option;
+  mutable resolver_log : Olden_cache.Write_log.t;
+      (* the resolver thread's log; [clean_log] until the cell is resolved *)
 }
 
 type _ Effect.t +=

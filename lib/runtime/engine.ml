@@ -111,14 +111,14 @@ let no_cell =
     state = Done Value.Nil;
     resolver_proc = -1;
     resolver_seat = -1;
-    resolver_log = None;
+    resolver_log = clean_log;
   }
 
 let create_state cfg =
   let machine = Machine.create cfg in
   let memory = Memory.create ~nprocs:cfg.C.nprocs in
   let cache = Cache.create cfg machine memory in
-  let dummy_thread = { tid = 0; seat = 0; log = Write_log.create () } in
+  let dummy_thread = { tid = 0; seat = 0; log = clean_log } in
   {
     cfg;
     machine;
@@ -181,7 +181,7 @@ let new_thread t =
      parent continuation spawned after a collapsed hop must keep
      reporting the original owner as SELF, exactly like the fault-free
      run *)
-  { tid; seat = t.cur_thread.seat; log = Write_log.create () }
+  { tid; seat = t.cur_thread.seat; log = clean_log }
 
 let next_seq t =
   t.seq <- t.seq + 1;
@@ -259,22 +259,24 @@ let emit t ?(site = -1) kind =
 
 (* A toucher acquiring a result resolved on another processor must not see
    stale copies of what the resolver wrote: the same invalidation applies
-   as when a thread returns (Section 3.2). *)
+   as when a thread returns (Section 3.2).  It fires even when the
+   resolver wrote nothing: the bilateral scheme then marks every entry
+   suspect, and the local scheme without its return refinement flushes,
+   whatever the log holds.  Only resolved cells get here. *)
 let acquire_result t ~proc ~(toucher : thread) (cell : fut) =
-  match cell.resolver_log with
-  | Some log ->
-      (* seats, not just physical processors: after a failover the
-         resolver and toucher can share a processor while the protocol
-         still places them at different virtual locations, and the
-         invalidation must fire exactly as it would have between the
-         original processors (on a healthy machine seat = processor, so
-         the second test adds nothing) *)
-      if cell.resolver_proc <> proc || cell.resolver_seat <> toucher.seat
-      then Cache.on_return_received t.cache ~proc ~log;
-      (* the resolver's writes become part of the toucher's causal past:
-         a later release by the toucher must cover them too *)
-      Write_log.absorb_written_procs toucher.log ~from:log
-  | None -> ()
+  let log = cell.resolver_log in
+  (* seats, not just physical processors: after a failover the resolver
+     and toucher can share a processor while the protocol still places
+     them at different virtual locations, and the invalidation must fire
+     exactly as it would have between the original processors (on a
+     healthy machine seat = processor, so the second test adds
+     nothing) *)
+  if cell.resolver_proc <> proc || cell.resolver_seat <> toucher.seat then
+    Cache.on_return_received t.cache ~proc ~log;
+  (* the resolver's writes become part of the toucher's causal past: a
+     later release by the toucher must cover them too *)
+  if Write_log.written_mask log <> 0 then
+    Write_log.absorb_written_procs (writable_log toucher) ~from:log
 
 let remove_parked parked ~proc ~label =
   let rec go = function
@@ -299,7 +301,7 @@ let resolve t (cell : fut) v =
       Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:t.cur_thread.log;
       cell.resolver_proc <- t.cur_proc;
       cell.resolver_seat <- t.cur_thread.seat;
-      cell.resolver_log <- Some t.cur_thread.log;
+      cell.resolver_log <- t.cur_thread.log;
       (* no waiters (the common case): nothing to wake, and no closure *)
       match waiters with
       | [] -> ()
@@ -494,7 +496,7 @@ let cached_store t kind (site : Site.t) g field v =
   let s = stats t in
   let retries_before = s.Stats.retries in
   Cache.write_as kind t.cache ~proc:t.cur_proc g ~field v
-    ~log:t.cur_thread.log;
+    ~log:(writable_log t.cur_thread);
   site.Site.retries <- site.Site.retries + s.Stats.retries - retries_before
 
 (* A migration whose source and home-map-resolved target are the same
@@ -564,7 +566,7 @@ let immediate_store_u t kind (site : Site.t) g field v =
           (stats t).Stats.local_refs <- (stats t).Stats.local_refs + 1;
           Memory.store_as kind t.memory g field v;
           Cache.note_migrate_write kind t.cache ~proc:t.cur_proc g ~field v
-            ~log:t.cur_thread.log
+            ~log:(writable_log t.cur_thread)
         end
         else raise_notrace Must_perform
   end
@@ -778,7 +780,7 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
             Machine.advance t.machine h c.C.local_ref;
             Memory.store t.memory g field v;
             Cache.note_migrate_write Word.Value t.cache ~proc:h g ~field v
-              ~log:t.cur_thread.log)
+              ~log:(writable_log t.cur_thread))
       end
       else begin
         let sp = Span.on t.sp in
@@ -795,9 +797,18 @@ let store_arm t (k : (unit, unit) Effect.Deep.continuation) =
         Effect.Deep.continue k ()
       end)
 
-let future_arm t (k : (fut, unit) Effect.Deep.continuation) =
-  let body = t.e_body in
+(* The fiber every futurecall runs its body in: one closure per engine,
+   built by [make_handler], that reads the body and the cell
+   [future_arm] parked, so a futurecall allocates no closure of its
+   own. *)
+let run_future t () =
+  let body = t.e_body and cell = t.e_cell in
   t.e_body <- no_body;
+  t.e_cell <- no_cell;
+  let v = body () in
+  resolve t cell v
+
+let future_arm t run (k : (fut, unit) Effect.Deep.continuation) =
   let c = costs t in
   let s = stats t in
   s.Stats.futures <- s.Stats.futures + 1;
@@ -809,23 +820,20 @@ let future_arm t (k : (fut, unit) Effect.Deep.continuation) =
       state = Pending [];
       resolver_proc = -1;
       resolver_seat = -1;
-      resolver_log = None;
+      resolver_log = clean_log;
     }
   in
   if Trace.on t.tr then emit t (Trace.Future_spawn { fid = cell.fid });
   (* Save the return continuation on this processor's work list.  If it
-     is stolen it becomes a new thread (with a fresh write log); if the
-     body completes without migrating, the processor pops it right back
-     — Olden's cheap no-migration path. *)
+     is stolen it becomes a new thread (on the clean log until it
+     writes); if the body completes without migrating, the processor
+     pops it right back — Olden's cheap no-migration path. *)
   push_work t (new_thread t) k cell;
   (* The body is evaluated directly by the current thread, as Olden's
      futurecall does; only a migration during it hands control back to
-     the scheduler. *)
-  Effect.Deep.match_with
-    (fun () ->
-      let v = body () in
-      resolve t cell v)
-    () t.handler
+     the scheduler.  [effc] parked the body; [run] reads both. *)
+  t.e_cell <- cell;
+  Effect.Deep.match_with run () t.handler
 
 let touch_arm t (k : (Value.t, unit) Effect.Deep.continuation) =
   let psite = t.e_psite and cell = t.e_cell in
@@ -980,7 +988,7 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
   let load_float = Some (load_arm t Word.Float) in
   let load_ptr = Some (load_arm t Word.Ptr) in
   let store = Some (store_arm t) in
-  let future = Some (future_arm t) in
+  let future = Some (future_arm t (run_future t)) in
   let touch = Some (touch_arm t) in
   let return = Some (return_arm t) in
   let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =

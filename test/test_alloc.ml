@@ -2,10 +2,12 @@
 
    Every hook a load, a store or a migration can run under the monitor,
    the flight recorder, a fault schedule or a releasing coherence scheme
-   allocates nothing; a migration round trip and a futurecall stay under
-   fixed word ceilings.  The write log's sorted dirty-page array and the
-   monitor's exemplar fast path are checked against the simple models
-   they replaced. *)
+   allocates nothing, and a migration round trip stays under a fixed
+   word ceiling in each of two configurations, as do Barnes-Hut, TSP and
+   Voronoi per simulated event (a futurecall's ceiling is in
+   test_scheduler.ml).  The write log's sorted dirty-page array and
+   the monitor's exemplar fast path are checked against the simple
+   models they replaced. *)
 
 open Olden
 module C = Config

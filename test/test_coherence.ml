@@ -124,6 +124,60 @@ let all_schemes_agree =
             [ Config.Heuristic; Config.Migrate_only; Config.Cache_only ])
         [ Config.Local; Config.Global; Config.Bilateral ])
 
+(* A future resolved on another processor by a thread that wrote
+   nothing, then touched: the touch is still an acquire, whatever the
+   resolver's write log holds.  Main, on p0, caches a line of p1's memory
+   and spawns a body that migrates to p1 and resolves there without
+   writing; the parent continuation, stolen on p0, parks on the touch and
+   wakes when the body resolves.  The whole program writes nothing. *)
+let acquire_after_clean_resolve cfg =
+  let engine = Engine.create cfg in
+  let before = ref (-1, false) and after = ref (-1, false) in
+  let table () = Cache_system.table (Engine.cache engine) 0 in
+  (* (live entries, every entry suspect) of p0's cache *)
+  let state () =
+    let tbl = table () in
+    let all = ref true in
+    Translation.iter tbl (fun e ->
+        if not (Translation.is_suspect tbl e) then all := false);
+    (Translation.live_entries tbl, !all)
+  in
+  Engine.exec engine (fun () ->
+      let cached = Site.cache "acquire.cached"
+      and away = Site.migrate "acquire.away" in
+      let x = Ops.alloc ~proc:1 4 and y = Ops.alloc ~proc:1 4 in
+      ignore (Ops.load cached x 0);
+      let f =
+        Ops.future (fun () ->
+            ignore (Ops.load away y 0);
+            Value.Int 0)
+      in
+      assert (Ops.self () = 0);
+      before := state ();
+      ignore (Ops.touch f);
+      assert (Ops.self () = 0);
+      after := state ());
+  (!before, !after)
+
+let test_bilateral_touch_marks_suspect () =
+  let (live0, suspect0), (live1, suspect1) =
+    acquire_after_clean_resolve
+      (Config.make ~nprocs:2 ~coherence:Config.Bilateral ())
+  in
+  Alcotest.(check (pair int bool)) "p0 caches the line before the touch"
+    (1, false) (live0, suspect0);
+  Alcotest.(check (pair int bool)) "the touch marks every entry suspect"
+    (1, true) (live1, suspect1)
+
+let test_local_touch_flushes () =
+  let (live0, _), (live1, _) =
+    acquire_after_clean_resolve
+      (Config.make ~nprocs:2 ~coherence:Config.Local
+         ~return_invalidate_refinement:false ())
+  in
+  Alcotest.(check int) "p0 caches the line before the touch" 1 live0;
+  Alcotest.(check int) "the touch flushes the cache" 0 live1
+
 let suite =
   [
     QCheck_alcotest.to_alcotest (coherence_test Config.Local Config.Heuristic);
@@ -135,4 +189,8 @@ let suite =
     QCheck_alcotest.to_alcotest
       (coherence_test Config.Bilateral Config.Cache_only);
     QCheck_alcotest.to_alcotest all_schemes_agree;
+    Alcotest.test_case "bilateral: touch of a clean resolve marks suspect"
+      `Quick test_bilateral_touch_marks_suspect;
+    Alcotest.test_case "local, no refinement: touch of a clean resolve flushes"
+      `Quick test_local_touch_flushes;
   ]
