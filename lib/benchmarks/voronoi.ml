@@ -643,6 +643,10 @@ let run cfg ~scale =
       let prng = Prng.create cfg.Olden_config.seed in
       let raw = Array.init n (fun _ -> (Prng.float prng, Prng.float prng)) in
       Array.sort compare raw;
+      (* the host reference, before the simulated heap is built: run
+         after the simulation, its peak sat on top of the live heap,
+         caches and engine *)
+      let expected_pairs, expected_dual = Reference.run raw in
       let st =
         {
           sites;
@@ -714,7 +718,6 @@ let run cfg ~scale =
       in
       (* verification: alive-edge pair sets and the dual's vertices match
          the reference exactly *)
-      let expected_pairs, expected_dual = Reference.run raw in
       let memory = Engine.memory engine in
       let pairs = Array.make st.nrecords 0 and npairs = ref 0 in
       for k = 0 to st.nrecords - 1 do
