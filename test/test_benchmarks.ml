@@ -331,6 +331,20 @@ let test_kernel_pins () =
     (read_file "golden/kernel_pins.txt")
     (Kernel_pins.lines ())
 
+(* The profile and critical-path reports of every kernel under local and
+   bilateral coherence are the ones the committed pins were generated
+   from (see Kernel_pins.report_lines).  The binary is found relative to
+   the test binary, not the cwd. *)
+let test_report_pins () =
+  let exe =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
+      "olden_run.exe"
+  in
+  check Alcotest.string "golden/report_pins.txt"
+    (read_file "golden/report_pins.txt")
+    (Kernel_pins.report_lines ~exe)
+
 (* Each kernel agrees with its sequential reference at its minimum
    problem size for any input seed, processor count and coherence
    scheme: at 64 points Voronoi spends a large share of its work in the
@@ -385,6 +399,8 @@ let suite =
       Alcotest.test_case "break-even shifts with platform" `Slow
         test_breakeven_platform_shift;
       Alcotest.test_case "kernel pins" `Quick test_kernel_pins;
+      Alcotest.test_case "profile and critical-path report pins" `Quick
+        test_report_pins;
       QCheck_alcotest.to_alcotest prop_references_agree;
       Alcotest.test_case "no write reaches the clean log" `Quick
         test_clean_log_stays_clean;
