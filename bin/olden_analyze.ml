@@ -9,7 +9,6 @@
 open Cmdliner
 module C = Olden_config
 module Site = Olden_runtime.Site
-module Trace_ev = Olden_trace.Trace
 module Span = Olden_span.Span
 
 let analyze file run_it procs coherence threshold profile spans_file =
@@ -47,32 +46,19 @@ let analyze file run_it procs coherence threshold profile spans_file =
         in
         let cfg = C.make ~nprocs:procs ~coherence () in
         let compiled = Olden_interp.Interp.compile ~selection:sel prog in
-        let run_spanned f =
-          (* causal spans ride along when --spans asks for them *)
-          match spans_file with
-          | None -> (f (), None)
-          | Some _ ->
-              let r, spans = Span.collect f in
-              (r, Some spans)
+        let run_spanned () =
+          (* the span stream rides along when --profile or --spans asks
+             for it *)
+          let run () = Olden_interp.Interp.run cfg compiled in
+          if Option.is_some spans_file then Span.collect run
+          else if profile then Span.collect ~kinds:Span.flat_kinds run
+          else (run (), [||])
         in
-        let run_traced () =
-          if profile then
-            let (result, spans), events =
-              Trace_ev.collect (fun () ->
-                  run_spanned (fun () -> Olden_interp.Interp.run cfg compiled))
-            in
-            (result, Some events, spans)
-          else
-            let result, spans =
-              run_spanned (fun () -> Olden_interp.Interp.run cfg compiled)
-            in
-            (result, None, spans)
-        in
-        match run_traced () with
+        match run_spanned () with
         | exception Olden_interp.Interp.Runtime_error msg ->
             Format.eprintf "runtime error: %s@." msg;
             exit 1
-        | result, events, spans ->
+        | result, spans ->
             if result.Olden_interp.Interp.output <> "" then
               Format.printf "--- output ---@.%s"
                 result.Olden_interp.Interp.output;
@@ -84,32 +70,25 @@ let analyze file run_it procs coherence threshold profile spans_file =
               report.Olden_runtime.Engine.makespan
               report.Olden_runtime.Engine.utilization;
             Format.printf "%a@." Stats.pp report.Olden_runtime.Engine.stats;
+            if profile then begin
+              let site_name = Olden_profile.Recorder.lookup (Site.labels ()) in
+              Format.printf "--- per-site cost attribution ---@.";
+              Format.printf "%a" Olden_profile.Attribution.pp_table
+                (Olden_profile.Attribution.of_spans ~site_name
+                   ~costs:cfg.C.costs spans);
+              Format.printf "--- critical path ---@.";
+              Format.printf "%a"
+                (Olden_profile.Critical_path.pp ~site_name ~tail:0)
+                (Olden_profile.Critical_path.analyze spans)
+            end;
             Option.iter
-              (fun events ->
-                let site_name =
-                  Olden_trace.Recorder.lookup (Site.labels ())
-                in
-                Format.printf "--- per-site cost attribution ---@.";
-                Format.printf "%a" Olden_profile.Attribution.pp_table
-                  (Olden_profile.Attribution.of_events ~site_name
-                     ~costs:cfg.C.costs events);
-                Format.printf "--- critical path ---@.";
-                Format.printf "%a"
-                  (Olden_profile.Critical_path.pp ~site_name ~tail:0)
-                  (Olden_profile.Critical_path.analyze events))
-              events;
-            Option.iter
-              (fun spans ->
-                match spans_file with
-                | None -> ()
-                | Some file ->
-                    let oc = open_out file in
-                    output_string oc (Span.jsonl spans);
-                    close_out oc;
-                    Format.printf "spans: %s (olden-spans/v1 JSONL, %d \
-                                   span(s))@."
-                      file (Array.length spans))
-              spans
+              (fun file ->
+                let oc = open_out file in
+                output_string oc (Span.jsonl spans);
+                close_out oc;
+                Format.printf "spans: %s (%s JSONL, %d span(s))@." file
+                  Span.schema (Array.length spans))
+              spans_file
       end)
 
 let file_t =
@@ -148,7 +127,7 @@ let spans_t =
     & info [ "spans" ] ~docv:"FILE"
         ~doc:
           "With --run: record causal dereference spans and write them to \
-           $(docv) as olden-spans/v1 JSONL.")
+           $(docv) as olden-spans/v2 JSONL.")
 
 let cmd =
   Cmd.v

@@ -7,7 +7,7 @@
 
 module G = Olden_config.Geometry
 module C = Olden_config
-module Trace = Olden_trace.Trace
+module Span = Olden_span.Span
 
 type t = {
   cfg : C.t;
@@ -15,7 +15,7 @@ type t = {
   memory : Memory.t;
   tables : Translation.t array;
   directories : Directory.t array;
-  mutable trace : Trace.emitter;
+  mutable span : Span.state;
       (* the creating domain's until an engine's [exec] binds its own *)
 }
 
@@ -31,10 +31,10 @@ let create cfg machine memory =
           (* registration times are tracked only under a fault schedule,
              for the recovery checker's sharer-epoch invariant *)
           Directory.create ~track_registrations:(cfg.C.faults <> None) ());
-    trace = Trace.emitter ();
+    span = Span.state ();
   }
 
-let bind t trace = t.trace <- trace
+let bind t span = t.span <- span
 
 let table t proc = t.tables.(proc)
 let directory t home = t.directories.(home)
@@ -42,27 +42,25 @@ let stats t = Machine.stats t.machine
 let coherence t = t.cfg.C.coherence
 let costs t = t.cfg.C.costs
 
-(* Stamp an event with [proc]'s clock and the engine-deposited thread /
-   site context.  Only ever called under a [Trace.on] guard. *)
-let emit t ~proc kind =
-  Trace.emit t.trace
-    { Trace.time = Machine.now t.machine proc; proc;
-      tid = Trace.thread t.trace; site = Trace.site t.trace; kind }
+(* A flat event stamped with [proc]'s clock and the engine-deposited
+   thread / site context.  Only ever called under a [Span.takes] guard. *)
+let event t ~proc ?(b = 0) ?(c = 0) kind ~a =
+  Span.event t.span ~kind ~proc ~time:(Machine.now t.machine proc)
+    ~tid:(Span.thread t.span) ~site:(Span.site t.span) ~a ~b ~c
 
 (* A directory event: stamped as [home]'s, with the clock of whoever
    serves [home]'s pages — after a fail-stop failover, the promoted
    backup. *)
-let emit_dir t ~home kind =
-  Trace.emit t.trace
-    { Trace.time = Machine.now t.machine (Machine.home_of t.machine home);
-      proc = home; tid = Trace.thread t.trace; site = Trace.site t.trace;
-      kind }
+let dir_event t ~home kind ~a ~b =
+  Span.event t.span ~kind ~proc:home
+    ~time:(Machine.now t.machine (Machine.home_of t.machine home))
+    ~tid:(Span.thread t.span) ~site:(Span.site t.span) ~a ~b ~c:0
 
 (* Bilateral: stamp a written line at its home. *)
 let record_write t ~home ~page_index ~line =
   Directory.record_write t.directories.(home) ~page_index ~line;
-  if Trace.on t.trace then
-    emit_dir t ~home (Trace.Dir_write { page = page_index; line })
+  if Span.takes t.span Span.Dir_write then
+    dir_event t ~home Span.Dir_write ~a:page_index ~b:line
 
 (* Locate (or allocate, on first touch) the cache entry on [proc] for the
    page containing word [addr] of processor [home]. *)
@@ -94,9 +92,8 @@ let revalidate t ~proc (e : Translation.entry) =
   let s = stats t in
   s.Stats.revalidations <- s.Stats.revalidations + 1;
   s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-  if Trace.on t.trace then
-    emit t ~proc
-      (Trace.Revalidate { home = e.home; page = e.page_index; dropped });
+  if Span.takes t.span Span.Revalidate then
+    event t ~proc Span.Revalidate ~a:e.home ~b:e.page_index ~c:dropped;
   e.ts <- ts;
   Translation.clear_suspect t.tables.(proc) e
 
@@ -124,9 +121,8 @@ let fetch_line t ~proc (e : Translation.entry) ~line =
       p.Directory.ever_shared <- true);
   let s = stats t in
   s.Stats.cache_misses <- s.Stats.cache_misses + 1;
-  if Trace.on t.trace then
-    emit t ~proc
-      (Trace.Cache_miss { home = e.home; page = e.page_index; line })
+  if Span.takes t.span Span.Cache_miss then
+    event t ~proc Span.Cache_miss ~a:e.home ~b:e.page_index ~c:line
 
 (* A read through the caching mechanism on [proc].  The compiler-inserted
    check tests locality first (as cheap as a migration site's test); only
@@ -151,9 +147,8 @@ let read_as kind t ~proc gptr ~field =
     let line = G.line_of_word addr in
     if Translation.line_valid e line then begin
       s.Stats.cache_hits <- s.Stats.cache_hits + 1;
-      if Trace.on t.trace then
-        emit t ~proc
-          (Trace.Cache_hit { home; page = e.page_index; line })
+      if Span.takes t.span Span.Cache_hit then
+        event t ~proc Span.Cache_hit ~a:home ~b:e.page_index ~c:line
     end
     else fetch_line t ~proc e ~line;
     Machine.advance t.machine proc c.C.local_ref;
@@ -285,14 +280,14 @@ let on_migration_received t ~proc =
   | C.Local ->
       Machine.advance t.machine proc c.C.cache_flush;
       s.Stats.cache_flushes <- s.Stats.cache_flushes + 1;
-      if Trace.on t.trace then
-        emit t ~proc
-          (Trace.Cache_flush
-             { entries = Translation.entry_count t.tables.(proc) });
+      if Span.takes t.span Span.Cache_flush then
+        event t ~proc Span.Cache_flush
+          ~a:(Translation.entry_count t.tables.(proc));
       Translation.flush t.tables.(proc)
   | C.Bilateral ->
       Machine.advance t.machine proc c.C.cache_flush;
-      if Trace.on t.trace then emit t ~proc Trace.Suspect_all;
+      if Span.takes t.span Span.Suspect_all then
+        event t ~proc Span.Suspect_all ~a:0;
       Translation.mark_all_suspect t.tables.(proc)
   | C.Global -> ()
 
@@ -308,15 +303,15 @@ let rec invalidate_sharers t ~proc ~gpage ~mask sharer rest =
          (Machine.one_way t.machine ~src:proc ~dst:sharer
             ~service:(costs t).C.invalidate_line);
        s.Stats.invalidation_messages <- s.Stats.invalidation_messages + 1;
-       if Trace.on t.trace then
-         emit t ~proc (Trace.Inval_send { target = sharer; page = page_index });
+       if Span.takes t.span Span.Inval_send then
+         event t ~proc Span.Inval_send ~a:sharer ~b:page_index;
        let e = Translation.probe t.tables.(sharer) gpage in
        if e != Translation.no_entry then begin
          let dropped = Translation.invalidate_lines e mask in
          s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-         if Trace.on t.trace then
-           emit t ~proc:sharer
-             (Trace.Inval_recv { source = proc; page = page_index; dropped })
+         if Span.takes t.span Span.Inval_recv then
+           event t ~proc:sharer Span.Inval_recv ~a:proc ~b:page_index
+             ~c:dropped
        end
      end);
     invalidate_sharers t ~proc ~gpage ~mask (sharer + 1) (rest lsr 1)
@@ -358,16 +353,14 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
                  ~service:c.C.invalidate_line);
             s.Stats.invalidation_messages <-
               s.Stats.invalidation_messages + 1;
-            if Trace.on t.trace then
-              emit t ~proc
-                (Trace.Inval_send { target = home; page = page_index })
+            if Span.takes t.span Span.Inval_send then
+              event t ~proc Span.Inval_send ~a:home ~b:page_index
           end;
           let d = t.directories.(home) in
           Directory.bump_timestamp d ~page_index;
-          if Trace.on t.trace then
-            emit_dir t ~home
-              (Trace.Dir_release
-                 { page = page_index; ts = (Directory.get d page_index).ts })
+          if Span.takes t.span Span.Dir_release then
+            dir_event t ~home Span.Dir_release ~a:page_index
+              ~b:(Directory.get d page_index).ts
         done;
         Write_log.clear_dirty log
 
@@ -385,22 +378,21 @@ let on_return_received t ~proc ~(log : Write_log.t) =
         Machine.advance t.machine proc
           (c.C.invalidate_line * C.popcount written);
         s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-        if Trace.on t.trace && written <> 0 then
-          emit t ~proc
-            (Trace.Inval_recv { source = -1; page = -1; dropped })
+        if Span.takes t.span Span.Inval_recv && written <> 0 then
+          event t ~proc Span.Inval_recv ~a:(-1) ~b:(-1) ~c:dropped
       end
       else begin
         Machine.advance t.machine proc c.C.cache_flush;
         s.Stats.cache_flushes <- s.Stats.cache_flushes + 1;
-        if Trace.on t.trace then
-          emit t ~proc
-            (Trace.Cache_flush
-               { entries = Translation.entry_count t.tables.(proc) });
+        if Span.takes t.span Span.Cache_flush then
+          event t ~proc Span.Cache_flush
+            ~a:(Translation.entry_count t.tables.(proc));
         Translation.flush t.tables.(proc)
       end
   | C.Bilateral ->
       Machine.advance t.machine proc c.C.cache_flush;
-      if Trace.on t.trace then emit t ~proc Trace.Suspect_all;
+      if Span.takes t.span Span.Suspect_all then
+        event t ~proc Span.Suspect_all ~a:0;
       Translation.mark_all_suspect t.tables.(proc)
   | C.Global -> ()
 

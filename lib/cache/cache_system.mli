@@ -10,13 +10,13 @@
 type t
 
 val create : Olden_config.t -> Machine.t -> Memory.t -> t
-(** Trace events of the new system and its directories go to the calling
-    domain's emitter until {!bind}. *)
+(** Span events of the new system and its directories go to the calling
+    domain's span state until {!bind}. *)
 
-val bind : t -> Olden_trace.Trace.emitter -> unit
-(** Emit into this trace emitter from now on (the directories' events
+val bind : t -> Olden_span.Span.state -> unit
+(** Emit into this span state from now on (the directories' events
     included).  The engine calls it when its [exec] starts, with the
-    executing domain's emitter. *)
+    executing domain's state. *)
 
 val table : t -> int -> Translation.t
 (** A processor's translation table (exposed for tests and tools). *)

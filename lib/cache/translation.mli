@@ -78,7 +78,7 @@ val iter : t -> (entry -> unit) -> unit
 
 val live_entries : t -> int
 (** Entries currently cached — what a coherence flush drops.  O(1).
-    This is what [Trace.Cache_flush]'s [entries] field reports. *)
+    This is what a [Span.Cache_flush] event's [entries] field reports. *)
 
 val entries_ever : t -> int
 (** Entries ever created, cumulative across flushes — the allocation

@@ -35,16 +35,10 @@ module Failover = Olden_recovery.Failover
 module Effects = Olden_runtime.Effects
 module Prng = Prng
 module Timeline = Olden_runtime.Timeline
-module Trace = Olden_trace.Trace
 module Span = Olden_span.Span
 module Monitor = Olden_monitor.Monitor
 module Json = Olden_trace.Json
 module Metrics = Olden_trace.Metrics
-module Chrome_trace = Olden_trace.Chrome_trace
-module Jsonl = Olden_trace.Jsonl
-module Recorder = Olden_trace.Recorder
-module Trace_summary = Olden_trace.Summary
-module Depgraph = Olden_trace.Depgraph
 module Attribution = Olden_profile.Attribution
 module Critical_path = Olden_profile.Critical_path
 module Snapshot_diff = Olden_profile.Snapshot_diff

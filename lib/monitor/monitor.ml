@@ -275,7 +275,11 @@ let request_m t ~code ~cycles =
   Metrics.observe h cycles
 
 (* The span consumer: each episode is measured once, where it is
-   emitted, and every latency histogram reads that emission. *)
+   emitted, and every latency histogram reads that emission.  The
+   monitor attaches for exactly these kinds, so the stream's other
+   spans never reach it. *)
+let kinds = Span.[ Deref; Recv; Return; Backoff; Crash; Failover; Request ]
+
 let note t sp ~tp ~ts ~(kind : Span.kind) ~t0 ~t1 ~a ~b =
   match kind with
   | Deref -> deref_m t ~sid:a ~m:b ~cycles:(t1 - t0) ~tp ~ts
@@ -288,9 +292,7 @@ let note t sp ~tp ~ts ~(kind : Span.kind) ~t0 ~t1 ~a ~b =
   | Backoff -> Metrics.observe t.retry_h b
   | Crash | Failover -> Metrics.observe t.recovery_h (t1 - t0)
   | Request -> request_m t ~code:a ~cycles:(t1 - t0)
-  | Send | Wire | Penalty | Queue | Replay | Service | Cache_service | Stall
-  | Drop | Delay | Dup | Fallback | Rpc ->
-      ()
+  | _ -> ()
 
 let install m =
   let a = slot () in
@@ -301,7 +303,7 @@ let install m =
   (* the consumer is attached to this domain's span state, so the state
      it reads the open root from is that one *)
   let sp = Span.state () in
-  Span.attach_monitor (fun ~tp ~ts ~kind ~t0 ~t1 ~a ~b ->
+  Span.attach_monitor ~kinds (fun ~tp ~ts ~kind ~t0 ~t1 ~a ~b ->
       note m sp ~tp ~ts ~kind ~t0 ~t1 ~a ~b)
 
 let uninstall () =

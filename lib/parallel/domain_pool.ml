@@ -9,7 +9,7 @@
    (which runs everything inline on the calling domain).
 
    Simulator state that used to be ambient globals (site registry,
-   trace emitter, span collector, monitor, driver hooks) is
+   span state, monitor, driver hooks) is
    domain-local, so each worker carries its own copy; jobs must still
    reset whatever per-run state they care about (e.g. [Site.reset])
    because a pool domain is reused across jobs. *)

@@ -5,8 +5,8 @@
     submission order is re-raised after the pool drains — so callers
     whose jobs are independent and deterministic observe identical
     output for any pool size.  Simulator runs qualify: every formerly
-    ambient global (site registry, trace emitter, span collector,
-    monitor, driver hooks, engine pointer) is domain-local state, though
+    ambient global (site registry, span state, monitor, driver hooks,
+    engine pointer) is domain-local state, though
     jobs must still reset per-run state they depend on (e.g.
     [Site.reset]) because pool domains are reused across jobs. *)
 

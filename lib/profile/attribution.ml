@@ -1,6 +1,6 @@
 (* Charge migration latency, cache-miss stalls, revalidation stalls, and
-   return-stub overhead back to dereference sites, from the event stream
-   alone.
+   return-stub overhead back to dereference sites, from the flat events
+   of a span stream alone.
 
    Send/arrive pairing is per thread id in FIFO order (a thread is
    one-shot; its hops are ordered), the same pairing the latency
@@ -9,7 +9,7 @@
    site of the thread's most recent migration. *)
 
 module C = Olden_config
-module Trace = Olden_trace.Trace
+module Span = Olden_span.Span
 
 type entry = {
   site : int;
@@ -42,7 +42,7 @@ let grand_total entries = List.fold_left (fun s e -> s + total e) 0 entries
 
 type pending = { p_site : int; p_sent : int; p_is_return : bool }
 
-let of_events ?(site_name = fun (_ : int) -> None) ~(costs : C.costs) events =
+let of_spans ?(site_name = fun (_ : int) -> None) ~(costs : C.costs) spans =
   let accs : (int, acc) Hashtbl.t = Hashtbl.create 32 in
   let acc site =
     match Hashtbl.find_opt accs site with
@@ -80,28 +80,27 @@ let of_events ?(site_name = fun (_ : int) -> None) ~(costs : C.costs) events =
     (2 * costs.C.net_latency) + costs.C.timestamp_service
   in
   Array.iter
-    (fun (ev : Trace.event) ->
-      match ev.Trace.kind with
-      | Trace.Migrate_send _ ->
-          Hashtbl.replace last_migration_site ev.Trace.tid ev.Trace.site;
+    (fun (ev : Span.span) ->
+      match ev.kind with
+      | Migrate_send ->
+          Hashtbl.replace last_migration_site ev.tid ev.site;
           Queue.push
-            { p_site = ev.Trace.site; p_sent = ev.Trace.time;
-              p_is_return = false }
-            (queue_for ev.Trace.tid)
-      | Trace.Return_send _ ->
+            { p_site = ev.site; p_sent = ev.t0; p_is_return = false }
+            (queue_for ev.tid)
+      | Return_send ->
           let site =
             Option.value ~default:(-1)
-              (Hashtbl.find_opt last_migration_site ev.Trace.tid)
+              (Hashtbl.find_opt last_migration_site ev.tid)
           in
           Queue.push
-            { p_site = site; p_sent = ev.Trace.time; p_is_return = true }
-            (queue_for ev.Trace.tid)
-      | Trace.Migrate_arrive _ | Trace.Return_arrive _ -> (
-          match Queue.take_opt (queue_for ev.Trace.tid) with
+            { p_site = site; p_sent = ev.t0; p_is_return = true }
+            (queue_for ev.tid)
+      | Migrate_arrive | Return_arrive -> (
+          match Queue.take_opt (queue_for ev.tid) with
           | None -> ()
           | Some p ->
               let a = acc p.p_site in
-              let latency = ev.Trace.time - p.p_sent in
+              let latency = ev.t0 - p.p_sent in
               if p.p_is_return then begin
                 a.a_returns <- a.a_returns + 1;
                 a.a_return_cycles <- a.a_return_cycles + latency
@@ -110,16 +109,16 @@ let of_events ?(site_name = fun (_ : int) -> None) ~(costs : C.costs) events =
                 a.a_migrations <- a.a_migrations + 1;
                 a.a_migration_cycles <- a.a_migration_cycles + latency
               end)
-      | Trace.Cache_miss _ ->
-          let a = acc ev.Trace.site in
+      | Cache_miss ->
+          let a = acc ev.site in
           a.a_misses <- a.a_misses + 1;
           a.a_miss_cycles <- a.a_miss_cycles + miss_cost
-      | Trace.Revalidate _ ->
-          let a = acc ev.Trace.site in
+      | Revalidate ->
+          let a = acc ev.site in
           a.a_revalidations <- a.a_revalidations + 1;
           a.a_revalidate_cycles <- a.a_revalidate_cycles + revalidate_cost
       | _ -> ())
-    events;
+    spans;
   Hashtbl.fold
     (fun site a rest ->
       let name =

@@ -1,9 +1,10 @@
-(** Per-dereference-site cost attribution over a trace event stream.
+(** Per-dereference-site cost attribution over the flat events of a span
+    stream.
 
     The paper's mechanism-selection argument is about where remote-access
     cycles go: each dereference site pays for the migrations, cache-line
     fetches, revalidations, and return stubs it causes.  This module
-    charges those costs back to sites from the PR 1 event stream alone:
+    charges those costs back to sites from the flat events alone:
 
     - migration latency: each [Migrate_send] paired with the same
       thread's next arrival, the measured send-to-restart time charged
@@ -21,8 +22,6 @@
     under a single unattributed entry so totals still cover the whole
     stream. *)
 
-module Trace = Olden_trace.Trace
-
 type entry = {
   site : int;  (** dereference-site id; [-1] collects unattributed costs *)
   name : string;  (** site label, e.g. ["t->left@treeadd"] *)
@@ -39,10 +38,10 @@ type entry = {
 val total : entry -> int
 (** All cycles attributed to the entry. *)
 
-val of_events :
+val of_spans :
   ?site_name:(int -> string option) ->
   costs:Olden_config.costs ->
-  Trace.event array ->
+  Olden_span.Span.span array ->
   entry list
 (** Entries ranked by {!total} descending (ties by site id), empty
     entries dropped. *)

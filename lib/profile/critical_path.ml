@@ -1,9 +1,8 @@
 (* Critical-path analysis: walk the realized-dependency chain built by
-   [Olden_trace.Depgraph] and classify every hop by what the elapsed time
-   was spent on. *)
+   [Depgraph] and classify every hop by what the elapsed time was spent
+   on. *)
 
-module Depgraph = Olden_trace.Depgraph
-module Trace = Olden_trace.Trace
+module Span = Olden_span.Span
 
 type hop_class = Compute | Migration | Return | Future_wait | Steal
 
@@ -16,7 +15,7 @@ let hop_class_name = function
 
 type hop = {
   index : int;
-  ev : Trace.event;
+  ev : Span.span;
   cost : int;
   cls : hop_class;
 }
@@ -37,15 +36,15 @@ type t = {
    on.  The arriving end of a hop names the mechanism: an arrival means
    the thread was in flight, a post-park event reached through a Resolve
    edge means the thread was waiting on the future. *)
-let classify (edge : Depgraph.edge) (ev : Trace.event) =
-  match ev.Trace.kind with
-  | Trace.Migrate_arrive _ -> Migration
-  | Trace.Return_arrive _ -> Return
-  | Trace.Steal -> Steal
+let classify (edge : Depgraph.edge) (ev : Span.span) =
+  match ev.Span.kind with
+  | Span.Migrate_arrive -> Migration
+  | Span.Return_arrive -> Return
+  | Span.Steal -> Steal
   | _ -> ( match edge with Depgraph.Resolve _ -> Future_wait | _ -> Compute)
 
-let analyze events =
-  let g = Depgraph.build events in
+let analyze spans =
+  let g = Depgraph.build spans in
   let indices = Depgraph.chain g in
   let hops =
     List.map
@@ -54,8 +53,8 @@ let analyze events =
         let edge = g.Depgraph.realized.(i) in
         let cost =
           match Depgraph.predecessor edge with
-          | None -> ev.Trace.time (* from t = 0 to the first event *)
-          | Some j -> max 0 (ev.Trace.time - g.Depgraph.events.(j).Trace.time)
+          | None -> ev.Span.t0 (* from t = 0 to the first event *)
+          | Some j -> max 0 (ev.Span.t0 - g.Depgraph.events.(j).Span.t0)
         in
         { index = i; ev; cost; cls = classify edge ev })
       indices
@@ -66,7 +65,7 @@ let analyze events =
       0 hops
   in
   let span =
-    match List.rev hops with [] -> 0 | last :: _ -> last.ev.Trace.time
+    match List.rev hops with [] -> 0 | last :: _ -> last.ev.Span.t0
   in
   let migration_cycles = sum Migration and return_cycles = sum Return in
   {
@@ -110,15 +109,15 @@ let pp ?(site_name = fun (_ : int) -> None) ?(tail = 0) ppf t =
     for i = first to n - 1 do
       let h = hops.(i) in
       let site =
-        if h.ev.Trace.site < 0 then ""
+        if h.ev.Span.site < 0 then ""
         else
-          match site_name h.ev.Trace.site with
+          match site_name h.ev.Span.site with
           | Some s -> " site=" ^ s
-          | None -> Printf.sprintf " site=%d" h.ev.Trace.site
+          | None -> Printf.sprintf " site=%d" h.ev.Span.site
       in
       Format.fprintf ppf "  [t=%8d p=%2d tid=%d] %-14s +%-8d %s%s@."
-        h.ev.Trace.time h.ev.Trace.proc h.ev.Trace.tid
-        (Trace.kind_name h.ev.Trace.kind)
+        h.ev.Span.t0 h.ev.Span.proc h.ev.Span.tid
+        (Span.kind_name h.ev.Span.kind)
         h.cost
         (hop_class_name h.cls)
         site

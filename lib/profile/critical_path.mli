@@ -1,5 +1,5 @@
 (** Critical-path analysis over the migration/future/steal dependency DAG
-    ({!Olden_trace.Depgraph}).
+    ({!Depgraph}) of a span stream's flat events.
 
     The longest chain of realized dependencies from the first event to
     the last is the run's critical path: the sequence of hops no amount
@@ -9,8 +9,6 @@
     and a "what-if" bound: the makespan if migrations (and their return
     stubs) were free, i.e. the span minus the migration cycles on the
     critical path. *)
-
-module Trace = Olden_trace.Trace
 
 type hop_class =
   | Compute  (** local work between two events of the same thread/processor *)
@@ -22,8 +20,8 @@ type hop_class =
 val hop_class_name : hop_class -> string
 
 type hop = {
-  index : int;  (** event index into the stream *)
-  ev : Trace.event;
+  index : int;  (** index into the stream's flat events *)
+  ev : Olden_span.Span.span;
   cost : int;  (** cycles between the realized predecessor and this event *)
   cls : hop_class;
 }
@@ -42,7 +40,7 @@ type t = {
           makespan were migrations free *)
 }
 
-val analyze : Trace.event array -> t
+val analyze : Olden_span.Span.span array -> t
 (** Empty streams yield a zero analysis (no hops, span 0). *)
 
 val pp : ?site_name:(int -> string option) -> ?tail:int ->

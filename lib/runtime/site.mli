@@ -43,7 +43,7 @@ val label : t -> string
 
 val labels : unit -> (int * string) list
 (** [(sid, label)] for every registered site, in creation order: the
-    site-name table drivers hand to {!Olden_trace.Recorder.of_events} and
+    site-name table drivers hand to [Olden_profile.Recorder.of_spans] and
     the profiler. *)
 
 val reset : unit -> unit

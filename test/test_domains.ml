@@ -32,9 +32,11 @@ let snapshot ?faults (s : B.Common.spec) =
   Site.reset ();
   let cfg = Config.make ~nprocs:8 ?faults () in
   let scale = test_scale s in
-  let o, events = Trace.collect (fun () -> s.B.Common.run cfg ~scale) in
+  let o, spans =
+    Span.collect ~kinds:Span.flat_kinds (fun () -> s.B.Common.run cfg ~scale)
+  in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
-  Json.to_string (B.Common.metrics_snapshot ~events s ~cfg ~scale o)
+  Json.to_string (B.Common.metrics_snapshot ~spans s ~cfg ~scale o)
 
 (* --- Snapshots are byte-identical run to run ----------------------------- *)
 
@@ -133,7 +135,7 @@ let test_pool_exception () =
 
 let test_pool_runs_simulations () =
   (* simulator runs as pool jobs: every formerly global piece of state
-     (site registry, trace emitter, hooks, engine pointer) is
+     (site registry, span state, hooks, engine pointer) is
      domain-local, so results off a 4-domain pool must be byte-identical
      to the inline ones *)
   let specs = [ B.Treeadd.spec; B.Em3d.spec; B.Health.spec ] in
@@ -257,12 +259,10 @@ let test_binding_follows_exec () =
   let inline, inline_spans =
     Span.collect (fun () -> bind_exec sites ~nprocs (Engine.create cfg))
   in
-  let _, inline_events =
-    Trace.collect (fun () -> bind_exec sites ~nprocs (Engine.create cfg))
-  in
   check bool "the inline run emits spans" true (Array.length inline_spans > 0);
-  check bool "the inline run emits trace events" true
-    (Array.length inline_events > 0);
+  check bool "the inline run emits flat events" true
+    (Array.exists (fun (sp : Span.span) -> Span.is_flat sp.Span.kind)
+       inline_spans);
   let same_run name (result, digest) =
     let (m, c), heap = inline in
     check (Alcotest.pair int int) (name ^ ": program result") (m, c) result;
@@ -270,19 +270,13 @@ let test_binding_follows_exec () =
   in
   (* created here, with this domain's sinks installed; run on a domain
      that has none *)
-  let events = ref 0 and spans = ref 0 in
-  Trace.install (fun _ -> incr events);
+  let spans = ref 0 in
   Span.install (fun _ -> incr spans);
   let engine = Engine.create cfg in
   let across =
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.uninstall ();
-        Span.uninstall ())
-      (fun () ->
+    Fun.protect ~finally:Span.uninstall (fun () ->
         Domain.join (Domain.spawn (fun () -> bind_exec sites ~nprocs engine)))
   in
-  check int "the creating domain's trace sink receives nothing" 0 !events;
   check int "the creating domain's span sink receives nothing" 0 !spans;
   same_run "run on another domain" across;
   (* created here, with no sinks; run on a domain that collects *)

@@ -1,7 +1,8 @@
 (* The profiler layer: per-site cost attribution, the dependency DAG and
    critical-path analysis (hand-built streams with known longest paths,
    ties, and the empty stream), per-processor accounting, snapshot
-   diffing, and the trace summary digest. *)
+   diffing, and the stream summary digest.  Every analysis reads the
+   flat events of a span stream and ignores its causal spans. *)
 
 open Olden
 module B = Olden_benchmarks
@@ -13,9 +14,46 @@ let bool = Alcotest.bool
 
 let costs = (Config.make ~nprocs:2 ()).Config.costs
 
-(* Event constructors for hand-built streams. *)
-let ev ?(tid = 0) ?(site = -1) ~t ~p kind =
-  { Trace.time = t; proc = p; tid; site; kind }
+module Attribution = Olden_profile.Attribution
+module Critical_path = Olden_profile.Critical_path
+module Depgraph = Olden_profile.Depgraph
+module Summary = Olden_profile.Summary
+
+(* Flat-event constructor for hand-built streams. *)
+let ev ?(tid = 0) ?(site = -1) ?(a = 0) ?(b = 0) ?(c = 0) ~t ~p kind =
+  {
+    Span.trace_proc = -1;
+    trace_seq = -1;
+    id = -1;
+    parent = -1;
+    kind;
+    proc = p;
+    t0 = t;
+    t1 = t;
+    a;
+    b;
+    c;
+    tid;
+    site;
+  }
+
+(* A causal span the analyses must skip. *)
+let deref ~t0 ~t1 =
+  {
+    Span.trace_proc = 0;
+    trace_seq = 0;
+    id = 0;
+    parent = -1;
+    kind = Span.Deref;
+    proc = 0;
+    t0;
+    t1;
+    a = 3;
+    b = 2;
+    c = 0;
+    tid = -1;
+    site = -1;
+  }
 
 (* --- Attribution on hand-built streams ------------------------------------ *)
 
@@ -24,18 +62,18 @@ let ev ?(tid = 0) ?(site = -1) ~t ~p kind =
    revalidation (model: 360) at another site. *)
 let attribution_stream =
   [|
-    ev ~t:100 ~p:0 ~tid:1 ~site:5 (Trace.Migrate_send { target = 1 });
-    ev ~t:2900 ~p:1 ~tid:1 (Trace.Migrate_arrive { source = 0 });
+    ev ~t:100 ~p:0 ~tid:1 ~site:5 ~a:1 Span.Migrate_send;
+    ev ~t:2900 ~p:1 ~tid:1 ~a:0 Span.Migrate_arrive;
     ev ~t:3000 ~p:1 ~tid:2 ~site:7
-      (Trace.Cache_miss { home = 0; page = 3; line = 1 });
+      ~a:0 ~b:3 ~c:1 Span.Cache_miss;
     ev ~t:3400 ~p:1 ~tid:2 ~site:7
-      (Trace.Revalidate { home = 0; page = 3; dropped = 0 });
-    ev ~t:5000 ~p:1 ~tid:1 (Trace.Return_send { target = 0 });
-    ev ~t:6200 ~p:0 ~tid:1 (Trace.Return_arrive { source = 1 });
+      ~a:0 ~b:3 ~c:0 Span.Revalidate;
+    ev ~t:5000 ~p:1 ~tid:1 ~a:0 Span.Return_send;
+    ev ~t:6200 ~p:0 ~tid:1 ~a:1 Span.Return_arrive;
   |]
 
 let test_attribution_charges () =
-  let entries = Attribution.of_events ~costs attribution_stream in
+  let entries = Attribution.of_spans ~costs attribution_stream in
   check int "two sites" 2 (List.length entries);
   let find site = List.find (fun e -> e.Attribution.site = site) entries in
   let migr = find 5 in
@@ -60,7 +98,7 @@ let test_attribution_charges () =
 
 let test_attribution_names () =
   let site_name = function 5 -> Some "t->left@treeadd" | _ -> None in
-  let entries = Attribution.of_events ~site_name ~costs attribution_stream in
+  let entries = Attribution.of_spans ~site_name ~costs attribution_stream in
   let name site =
     (List.find (fun e -> e.Attribution.site = site) entries).Attribution.name
   in
@@ -73,12 +111,12 @@ let test_attribution_unattributed () =
      ignored rather than inventing cost *)
   let events =
     [|
-      ev ~t:10 ~p:0 ~tid:3 (Trace.Return_send { target = 1 });
-      ev ~t:1210 ~p:1 ~tid:3 (Trace.Return_arrive { source = 0 });
-      ev ~t:2000 ~p:0 ~tid:9 (Trace.Migrate_arrive { source = 1 });
+      ev ~t:10 ~p:0 ~tid:3 ~a:1 Span.Return_send;
+      ev ~t:1210 ~p:1 ~tid:3 ~a:0 Span.Return_arrive;
+      ev ~t:2000 ~p:0 ~tid:9 ~a:1 Span.Migrate_arrive;
     |]
   in
-  let entries = Attribution.of_events ~costs events in
+  let entries = Attribution.of_spans ~costs events in
   check int "one bucket" 1 (List.length entries);
   let e = List.hd entries in
   check int "unattributed id" (-1) e.Attribution.site;
@@ -88,10 +126,10 @@ let test_attribution_unattributed () =
 
 let test_attribution_empty () =
   check int "empty stream, no entries" 0
-    (List.length (Attribution.of_events ~costs [||]))
+    (List.length (Attribution.of_spans ~costs [||]))
 
 let test_folded () =
-  let entries = Attribution.of_events ~costs attribution_stream in
+  let entries = Attribution.of_spans ~costs attribution_stream in
   let folded = Attribution.folded ~prefix:"test" entries in
   let lines = String.split_on_char '\n' (String.trim folded) in
   check int "one line per nonzero component" 4 (List.length lines);
@@ -110,17 +148,18 @@ let test_critical_path_migration_chain () =
   (* migrate out, compute, return: every hop class measurable by hand *)
   let events =
     [|
-      ev ~t:0 ~p:0 ~tid:1 ~site:3 (Trace.Migrate_send { target = 1 });
-      ev ~t:2800 ~p:1 ~tid:1 (Trace.Migrate_arrive { source = 0 });
-      ev ~t:3000 ~p:1 ~tid:1 (Trace.Return_send { target = 0 });
-      ev ~t:4200 ~p:0 ~tid:1 (Trace.Return_arrive { source = 1 });
+      ev ~t:0 ~p:0 ~tid:1 ~site:3 ~a:1 Span.Migrate_send;
+      ev ~t:2800 ~p:1 ~tid:1 ~a:0 Span.Migrate_arrive;
+      deref ~t0:0 ~t1:9000;
+      ev ~t:3000 ~p:1 ~tid:1 ~a:0 Span.Return_send;
+      ev ~t:4200 ~p:0 ~tid:1 ~a:1 Span.Return_arrive;
     |]
   in
   let g = Depgraph.build events in
   check (Alcotest.option int) "last event ends the path" (Some 3)
     (Depgraph.last g);
-  check (Alcotest.list int) "chain is the whole hop sequence" [ 0; 1; 2; 3 ]
-    (Depgraph.chain g);
+  check (Alcotest.list int) "chain is the whole flat hop sequence"
+    [ 0; 1; 2; 3 ] (Depgraph.chain g);
   let t = Critical_path.analyze events in
   check int "span is the last timestamp" 4200 t.Critical_path.span;
   check int "four hops" 4 t.Critical_path.length;
@@ -137,11 +176,11 @@ let test_critical_path_future_wait () =
      program/processor edges (t=100) *)
   let events =
     [|
-      ev ~t:0 ~p:0 ~tid:1 (Trace.Future_spawn { fid = 7 });
-      ev ~t:50 ~p:1 ~tid:2 Trace.Steal;
-      ev ~t:100 ~p:0 ~tid:1 (Trace.Future_touch { fid = 7; parked = true });
-      ev ~t:1000 ~p:1 ~tid:2 (Trace.Future_resolve { fid = 7; waiters = 1 });
-      ev ~t:1100 ~p:0 ~tid:1 (Trace.Future_touch { fid = 7; parked = false });
+      ev ~t:0 ~p:0 ~tid:1 ~a:7 Span.Future_spawn;
+      ev ~t:50 ~p:1 ~tid:2 Span.Steal;
+      ev ~t:100 ~p:0 ~tid:1 ~a:7 ~b:1 Span.Future_touch;
+      ev ~t:1000 ~p:1 ~tid:2 ~a:7 ~b:1 Span.Future_resolve;
+      ev ~t:1100 ~p:0 ~tid:1 ~a:7 Span.Future_touch;
     |]
   in
   let g = Depgraph.build events in
@@ -163,9 +202,9 @@ let test_critical_path_ties () =
      endpoint and for the realized predecessor *)
   let events =
     [|
-      ev ~t:100 ~p:0 ~tid:1 Trace.Steal;
-      ev ~t:100 ~p:1 ~tid:2 Trace.Steal;
-      ev ~t:200 ~p:0 ~tid:2 (Trace.Future_spawn { fid = 0 });
+      ev ~t:100 ~p:0 ~tid:1 Span.Steal;
+      ev ~t:100 ~p:1 ~tid:2 Span.Steal;
+      ev ~t:200 ~p:0 ~tid:2 ~a:0 Span.Future_spawn;
     |]
   in
   let g = Depgraph.build events in
@@ -228,14 +267,15 @@ let test_treeadd_reconciles () =
   Site.reset ();
   let cfg = Config.make ~nprocs:8 () in
   let o, events =
-    Trace.collect (fun () -> B.Treeadd.spec.B.Common.run cfg ~scale:4096)
+    Span.collect ~kinds:Span.flat_kinds (fun () ->
+        B.Treeadd.spec.B.Common.run cfg ~scale:4096)
   in
   check bool "verified" true o.B.Common.ok;
-  let entries = Attribution.of_events ~costs:cfg.Config.costs events in
+  let entries = Attribution.of_spans ~costs:cfg.Config.costs events in
   let arrivals =
     Array.fold_left
       (fun n e ->
-        match e.Trace.kind with Trace.Migrate_arrive _ -> n + 1 | _ -> n)
+        match e.Span.kind with Span.Migrate_arrive -> n + 1 | _ -> n)
       0 events
   in
   check int "every completed migration attributed" arrivals
@@ -269,10 +309,11 @@ let test_em3d_stalls_match_comm () =
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
   let o, events =
-    Trace.collect (fun () -> B.Em3d.spec.B.Common.run cfg ~scale:1024)
+    Span.collect ~kinds:Span.flat_kinds (fun () ->
+        B.Em3d.spec.B.Common.run cfg ~scale:1024)
   in
   check bool "verified" true o.B.Common.ok;
-  let entries = Attribution.of_events ~costs:cfg.Config.costs events in
+  let entries = Attribution.of_spans ~costs:cfg.Config.costs events in
   let stalls =
     List.fold_left
       (fun n e ->
@@ -375,20 +416,21 @@ let test_diff_rejects_garbage () =
 (* --- Summary digest -------------------------------------------------------- *)
 
 let test_summary_empty () =
-  let s = Format.asprintf "%a" (Trace_summary.pp ?site_name:None ?head:None) [||] in
+  let s = Format.asprintf "%a" (Summary.pp ?site_name:None ?head:None) [||] in
   check string "empty stream digest" "0 events\n" s
 
 let test_summary_digest () =
   let events =
     [|
-      ev ~t:0 ~p:0 ~tid:1 ~site:5 (Trace.Migrate_send { target = 1 });
-      ev ~t:2800 ~p:1 ~tid:1 (Trace.Migrate_arrive { source = 0 });
-      ev ~t:3000 ~p:1 ~tid:1 (Trace.Phase_mark "kernel");
+      ev ~t:0 ~p:0 ~tid:1 ~site:5 ~a:1 Span.Migrate_send;
+      ev ~t:2800 ~p:1 ~tid:1 ~a:0 Span.Migrate_arrive;
+      ev ~t:3000 ~p:1 ~tid:1 ~a:(Span.intern_phase "kernel") Span.Phase;
+      deref ~t0:3000 ~t1:9000;
     |]
   in
   let site_name = function 5 -> Some "t->left@treeadd" | _ -> None in
   let s =
-    Format.asprintf "%a" (Trace_summary.pp ~site_name ~head:3) events
+    Format.asprintf "%a" (Summary.pp ~site_name ~head:3) events
   in
   let contains sub =
     let n = String.length sub and m = String.length s in

@@ -33,9 +33,11 @@ let test_scale (s : B.Common.spec) =
 
 let snapshot (s : B.Common.spec) cfg ~scale =
   Site.reset ();
-  let o, events = Trace.collect (fun () -> s.B.Common.run cfg ~scale) in
+  let o, spans =
+    Span.collect ~kinds:Span.flat_kinds (fun () -> s.B.Common.run cfg ~scale)
+  in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
-  (o, Json.to_string (B.Common.metrics_snapshot ~events s ~cfg ~scale o))
+  (o, Json.to_string (B.Common.metrics_snapshot ~spans s ~cfg ~scale o))
 
 let violations_string vs =
   String.concat "; "
