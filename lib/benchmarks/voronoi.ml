@@ -645,8 +645,13 @@ let run cfg ~scale =
       Array.sort compare raw;
       (* the host reference, before the simulated heap is built: run
          after the simulation, its peak sat on top of the live heap,
-         caches and engine *)
+         caches and engine.  Its dead structures (about 1.7 M words at
+         table2-p8's scale) are collected before the build: left to the
+         major GC's pacing, whether they still sat in the heap when the
+         simulation grew moved the run's heap peak by up to a tenth
+         with any change to what ran before *)
       let expected_pairs, expected_dual = Reference.run raw in
+      Gc.full_major ();
       let st =
         {
           sites;
